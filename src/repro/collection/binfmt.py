@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
+from repro.errors import DatasetFormatError
 from repro.fediverse.models import Status
 from repro.twitter.models import Tweet
 
@@ -311,13 +313,38 @@ def _lazy_field(name: str):
 
 
 def _load_prefixed(path: Path, prefixes: tuple[str, ...]) -> dict:
-    """Read only the arrays under the given name prefixes from the archive."""
-    with np.load(path) as archive:
-        return {
-            name: archive[name]
-            for name in archive.files
-            if name.startswith(prefixes)
-        }
+    """Read only the arrays under the given name prefixes from the archive.
+
+    A damaged archive (truncated, or a member cut short) raises
+    :class:`~repro.errors.DatasetFormatError`.
+    """
+    try:
+        # our own handle: np.load leaves the file it opened unclosed when
+        # the archive turns out to be damaged
+        with open(path, "rb") as handle, np.load(handle) as archive:
+            return {
+                name: archive[name]
+                for name in archive.files
+                if name.startswith(prefixes)
+            }
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
+        raise DatasetFormatError(
+            f"damaged binary dataset format in {path}: {exc}"
+        ) from exc
+
+
+def _parse_header(data: dict) -> dict:
+    try:
+        header = json.loads(bytes(data["header"]).decode("utf-8"))
+    except (KeyError, ValueError) as exc:
+        raise DatasetFormatError(
+            f"unreadable binary dataset format header: {exc}"
+        ) from exc
+    if header.get("format_version") != FORMAT_VERSION:
+        raise DatasetFormatError(
+            f"unsupported binary dataset format {header.get('format_version')!r}"
+        )
+    return header
 
 
 def _make_lazy_class():
@@ -388,16 +415,6 @@ def lazy_dataset_class():
     return _LazyNpzDataset
 
 
-def _read_header(path: Path) -> dict:
-    with np.load(path) as archive:
-        header = json.loads(bytes(archive["header"]).decode("utf-8"))
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported binary dataset format {header.get('format_version')!r}"
-        )
-    return header
-
-
 def _fill_header_fields(dataset, header: dict) -> None:
     from repro.collection.dataset import (
         CrawlCoverage,
@@ -450,19 +467,14 @@ def load_npz(path: str | Path, lazy: bool = False):
 
     path = Path(path)
     if lazy:
-        header = _read_header(path)
+        header = _parse_header(_load_prefixed(path, ("header",)))
         dataset = lazy_dataset_class()()
         dataset._attach(path, header)
         _fill_header_fields(dataset, header)
         return dataset
 
-    with np.load(path) as archive:
-        data = {name: archive[name] for name in archive.files}
-    header = json.loads(bytes(data["header"]).decode("utf-8"))
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported binary dataset format {header.get('format_version')!r}"
-        )
+    data = _load_prefixed(path, ("",))
+    header = _parse_header(data)
 
     dataset = MigrationDataset()
     _fill_header_fields(dataset, header)

@@ -55,6 +55,14 @@ class ResumeError(CollectionError):
     """
 
 
+class DatasetFormatError(CollectionError, ValueError):
+    """A saved dataset file cannot be read: damaged, or another format version.
+
+    Also a :class:`ValueError`, which is what format-version skew raised
+    before this type existed.
+    """
+
+
 class AnalysisError(ReproError):
     """An analysis was asked to operate on unusable inputs."""
 

@@ -22,12 +22,14 @@ Memoization contract (see DESIGN.md §5):
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, TypeVar
 
 import numpy as np
 
 from repro import obs
+from repro.errors import AnalysisError
 from repro.frames.tables import (
     EdgeTable,
     ProfileTable,
@@ -41,6 +43,7 @@ from repro.frames.tables import (
     iso_day_strings,
     rebase_timeline_table,
     rebase_token_table,
+    row_positions,
 )
 from repro.nlp.embeddings import HashingSentenceEncoder
 from repro.nlp.toxicity import PerspectiveScorer
@@ -161,7 +164,10 @@ class DatasetFrames:
     """Columnar tables and derived products of one ``MigrationDataset``."""
 
     def __init__(self, dataset) -> None:
-        self._dataset = dataset
+        # weak: frames_of() keeps the frames on the dataset, and a strong
+        # reference back would make a cycle that only the cyclic collector
+        # frees, keeping every superseded daily snapshot alive until it runs
+        self._dataset = weakref.ref(dataset)
         self._products: dict[str, Any] = {}
         self._results: dict[Any, Any] = {}
         # local result-cache accounting (mirrored to the active obs registry
@@ -175,7 +181,14 @@ class DatasetFrames:
 
     @property
     def dataset(self):
-        return self._dataset
+        """The dataset these frames describe.
+
+        Held weakly: frames kept past their dataset raise here.
+        """
+        dataset = self._dataset()
+        if dataset is None:
+            raise AnalysisError("these frames outlived their dataset")
+        return dataset
 
     def _product(self, name: str, builder: Callable[[], T]) -> T:
         found = self._products.get(name)
@@ -209,7 +222,7 @@ class DatasetFrames:
         return self._product(
             "tweet_table",
             lambda: build_timeline_table(
-                self._dataset.twitter_timelines, "source", "is_retweet"
+                self.dataset.twitter_timelines, "source", "is_retweet"
             ),
         )
 
@@ -218,7 +231,7 @@ class DatasetFrames:
         return self._product(
             "status_table",
             lambda: build_timeline_table(
-                self._dataset.mastodon_timelines, "application", "is_boost"
+                self.dataset.mastodon_timelines, "application", "is_boost"
             ),
         )
 
@@ -230,7 +243,7 @@ class DatasetFrames:
             lambda: np.asarray(
                 [
                     t.created_date.toordinal()
-                    for t in self._dataset.collected_tweets
+                    for t in self.dataset.collected_tweets
                 ],
                 dtype=np.int64,
             ),
@@ -270,13 +283,13 @@ class DatasetFrames:
     @property
     def profile_table(self) -> ProfileTable:
         return self._product(
-            "profile_table", lambda: build_profile_table(self._dataset)
+            "profile_table", lambda: build_profile_table(self.dataset)
         )
 
     @property
     def edge_table(self) -> EdgeTable:
         return self._product(
-            "edge_table", lambda: build_edge_table(self._dataset)
+            "edge_table", lambda: build_edge_table(self.dataset)
         )
 
     @property
@@ -305,7 +318,7 @@ class DatasetFrames:
             ids: dict[str, int] = {}
             week_ids: list[int] = []
             cols = {"statuses": [], "logins": [], "registrations": []}
-            for rows in self._dataset.weekly_activity.values():
+            for rows in self.dataset.weekly_activity.values():
                 for row in rows:
                     week = row["week"]
                     wid = ids.get(week)
@@ -619,15 +632,12 @@ def _splice_rows(
         out[new_start : new_start + count] = old[old_start : old_start + count]
     fresh = rowmap.fresh
     if fresh.size:
-        starts = tokens.offsets[fresh]
-        stops = tokens.offsets[fresh + 1]
         sub_offsets = np.zeros(len(fresh) + 1, dtype=np.int64)
-        np.cumsum(stops - starts, out=sub_offsets[1:])
-        sub_flat = np.empty(int(sub_offsets[-1]), dtype=tokens.flat.dtype)
-        for i in range(len(fresh)):
-            sub_flat[sub_offsets[i] : sub_offsets[i + 1]] = tokens.flat[
-                starts[i] : stops[i]
-            ]
+        np.cumsum(
+            tokens.offsets[fresh + 1] - tokens.offsets[fresh],
+            out=sub_offsets[1:],
+        )
+        sub_flat = tokens.flat[row_positions(tokens.offsets, fresh)]
         out[fresh] = fn(sub_flat, sub_offsets, tokens.vocab)
     return out
 

@@ -7,6 +7,11 @@ order the naive analysis loops visit them (dict insertion order, list
 order within a timeline), so any frames-backed analysis that walks a
 table reproduces the naive path's accumulation order bit for bit.
 
+Token tables come from one corpus tokenizer,
+:func:`repro.util.text.tokenize_corpus`, equal by construction to per-text
+``tokenize`` interned in first-seen order; an incremental rebase runs it
+over the fresh rows only.
+
 Tables carry data only — no analysis logic.  The derived products
 (per-day volume vectors, embedding matrices, toxicity score vectors) live
 on :class:`repro.frames.core.DatasetFrames`, which builds each table at
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.util.text import normalize_hashtag, tokenize
+from repro.util.text import normalize_hashtag, tokenize_corpus
 
 
 class Interner:
@@ -375,8 +380,7 @@ class TokenTable:
 
     ``flat[offsets[i]:offsets[i + 1]]`` are text ``i``'s token ids in
     token order; ``vocab[id]`` restores the token.  Built once per corpus
-    and shared by the batched NLP passes (embeddings and toxicity), which
-    previously each re-tokenized every text.
+    and shared by the batched NLP passes (embeddings and toxicity).
     """
 
     flat: np.ndarray  # int32
@@ -389,20 +393,9 @@ class TokenTable:
 
 
 def build_token_table(texts: list[str]) -> TokenTable:
-    """Tokenize every text once and intern the tokens."""
-    interner = Interner()
-    intern = interner.intern
-    flat: list[int] = []
-    offsets = [0]
-    for text in texts:
-        for token in tokenize(text):
-            flat.append(intern(token))
-        offsets.append(len(flat))
-    return TokenTable(
-        flat=np.asarray(flat, dtype=np.int32),
-        offsets=np.asarray(offsets, dtype=np.int64),
-        vocab=interner.vocab,
-    )
+    """Tokenize every text once and intern the tokens (first-seen ids)."""
+    flat, offsets, vocab = tokenize_corpus(texts)
+    return TokenTable(flat=flat, offsets=offsets, vocab=vocab)
 
 
 def rebase_token_table(
@@ -417,18 +410,23 @@ def rebase_token_table(
     (``score_tokenized`` / ``encode_tokenized``) are row-pure functions of
     the token *strings* via the vocab lookup.
     """
+    fresh = rowmap.fresh
+    fresh_flat, fresh_offsets, fresh_vocab = tokenize_corpus(
+        [texts[r] for r in fresh.tolist()]
+    )
+    # fresh_vocab is in first-seen order over the fresh rows, so interning
+    # it in order appends new tokens exactly as per-token interning would
     interner = Interner.from_vocab(old.vocab)
+    to_old_ids = np.fromiter(
+        map(interner.intern, fresh_vocab), np.int32, len(fresh_vocab)
+    )
     lengths = np.zeros(rowmap.row_count, dtype=np.int64)
     old_lengths = np.diff(old.offsets)
     for new_start, old_start, count in rowmap.runs:
         lengths[new_start : new_start + count] = old_lengths[
             old_start : old_start + count
         ]
-    fresh_tokens: dict[int, list[int]] = {}
-    for r in rowmap.fresh.tolist():
-        ids = [interner.intern(token) for token in tokenize(texts[r])]
-        fresh_tokens[r] = ids
-        lengths[r] = len(ids)
+    lengths[fresh] = np.diff(fresh_offsets)
     offsets = np.empty(rowmap.row_count + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(lengths, out=offsets[1:])
@@ -438,9 +436,18 @@ def rebase_token_table(
         flat[offsets[new_start] : offsets[new_start + count]] = old.flat[
             old_offsets[old_start] : old_offsets[old_start + count]
         ]
-    for r, ids in fresh_tokens.items():
-        flat[offsets[r] : offsets[r + 1]] = ids
+    flat[row_positions(offsets, fresh)] = to_old_ids[fresh_flat]
     return TokenTable(flat=flat, offsets=offsets, vocab=interner.vocab)
+
+
+def row_positions(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions in ``flat`` of the tokens of ``rows``, row after row."""
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    skipped = starts - (np.cumsum(lengths) - lengths)
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+        skipped, lengths
+    )
 
 
 @dataclass(slots=True)

@@ -12,15 +12,19 @@ L2-normalised, so cosine similarity behaves like a bag-of-words similarity:
 The paper thresholds cosine similarity at 0.7 for "similar" posts; the same
 threshold separates shared-token rewrites from unrelated posts here.
 
-``encode_tokenized`` is the batch fast path used by ``repro.frames``: it
-hashes each distinct token once (instead of once per occurrence) and
-accumulates whole corpora with ``np.bincount``.  Its contract is exactness —
-every row equals ``encode(text)`` bit for bit, which requires replaying the
-scalar path's accumulation order (first-occurrence token order within a
-text; ``bincount`` adds weights in input order, like the scalar ``+=``
-loop) and computing each row norm from its own 1-D dot product
-(``np.linalg.norm(matrix, axis=1)`` is *not* bit-identical to the per-row
-scalar norm).
+``encode_tokenized`` is the batch fast path used by ``repro.frames`` (and
+``encode_batch``, which tokenizes through
+:func:`repro.util.text.tokenize_corpus` first): it hashes each distinct
+token once and embeds a bounded block of texts per pass with no per-text
+Python loop — a stable sort of ``(row, token)`` keys counts each token of
+each text, and one ``np.add.at`` scatter accumulates the terms straight
+into the output.  Its contract is exactness — every row equals
+``encode(text)`` bit for bit, which requires replaying the scalar path's
+accumulation order (terms are ordered by first occurrence, which is
+``Counter``'s order within a text; ``add.at`` adds in input order, like the
+scalar ``+=`` loop) and computing each row norm from its own 1-D dot
+product (``np.linalg.norm(matrix, axis=1)`` is *not* bit-identical to the
+per-row scalar norm).
 """
 
 from __future__ import annotations
@@ -30,13 +34,12 @@ from collections import Counter
 
 import numpy as np
 
-from repro.util.text import tokenize
+from repro.util.text import tokenize, tokenize_corpus
 
 DEFAULT_DIM = 256
 
-#: Texts per ``np.bincount`` scatter in the batch path.  Bounds the size of
-#: the transient flattened accumulator (chunk * dim float64) without
-#: affecting results: texts never share accumulator rows.
+#: Texts per block of the batch path.  Bounds the transient per-token
+#: arrays without affecting results: texts never share output rows.
 _BATCH_CHUNK = 8192
 
 
@@ -76,48 +79,44 @@ class HashingSentenceEncoder:
         bit-identical to ``encode`` of the original text.
         """
         n = len(offsets) - 1
-        mat = np.zeros((n, self.dim), dtype=np.float64)
+        dim = self.dim
+        mat = np.zeros((n, dim), dtype=np.float64)
         if n == 0:
             return mat
-        bucket_index = np.zeros(len(vocab), dtype=np.int64)
-        bucket_sign = np.zeros(len(vocab), dtype=np.float64)
-        for tid, token in enumerate(vocab):
-            digest = zlib.crc32(token.encode("utf-8"))
-            bucket_index[tid] = digest % self.dim
-            bucket_sign[tid] = 1.0 if (digest >> 16) & 1 else -1.0
+        digests = np.fromiter(
+            (zlib.crc32(token.encode("utf-8")) for token in vocab),
+            np.int64,
+            len(vocab),
+        )
+        bucket_index = digests % dim
+        bucket_sign = np.where((digests >> 16) & 1, 1.0, -1.0)
 
-        flat_list = flat.tolist()
-        bounds = offsets.tolist()
-        dim = self.dim
-        for chunk_start in range(0, n, _BATCH_CHUNK):
-            chunk_stop = min(chunk_start + _BATCH_CHUNK, n)
-            rows: list[int] = []
-            cols: list[int] = []
-            counts: list[int] = []
-            for i in range(chunk_start, chunk_stop):
-                seg = flat_list[bounds[i] : bounds[i + 1]]
-                if not seg:
-                    continue
-                # Counter preserves first-occurrence order — the order the
-                # scalar path adds terms, which matters when three or more
-                # tokens of one text collide into the same hash bucket.
-                for tid, count in Counter(seg).items():
-                    rows.append(i - chunk_start)
-                    cols.append(tid)
-                    counts.append(count)
-            if not rows:
-                continue
-            col_ids = np.asarray(cols, dtype=np.int64)
-            vals = bucket_sign[col_ids] * (
-                1.0 + np.log(np.asarray(counts, dtype=np.int64))
+        cells = mat.reshape(-1)
+        width = len(vocab)
+        lengths = np.diff(offsets)
+        for lo in range(0, n, _BATCH_CHUNK):
+            hi = min(lo + _BATCH_CHUNK, n)
+            rows = np.repeat(
+                np.arange(lo, hi, dtype=np.int64), lengths[lo:hi]
             )
-            slots = (
-                np.asarray(rows, dtype=np.int64) * dim + bucket_index[col_ids]
-            )
-            block = np.bincount(
-                slots, weights=vals, minlength=(chunk_stop - chunk_start) * dim
-            )
-            mat[chunk_start:chunk_stop] = block.reshape(-1, dim)
+            tokens = flat[offsets[lo] : offsets[hi]]
+            # group equal (row, token) keys; the stable sort puts each
+            # group's first occurrence first
+            keys = (rows - lo) * width + tokens
+            perm = np.argsort(keys, kind="stable")
+            starts = np.flatnonzero(np.diff(keys[perm], prepend=-1))
+            # each distinct token's count, at its first occurrence in its
+            # row: taken in position order, these replay Counter's order
+            # row by row — the order the scalar path adds terms, which
+            # matters when three or more tokens of a text share a bucket
+            count_at = np.zeros(keys.size, dtype=np.int64)
+            count_at[perm[starts]] = np.diff(starts, append=keys.size)
+            first = np.flatnonzero(count_at)
+            tids = tokens[first]
+            vals = bucket_sign[tids] * (1.0 + np.log(count_at[first]))
+            # add.at adds each cell's terms in input order, like the
+            # scalar += loop
+            np.add.at(cells, rows[first] * dim + bucket_index[tids], vals)
 
         # Per-row 1-D dots: norm(matrix, axis=1) is not bit-identical.
         dots = np.fromiter((row.dot(row) for row in mat), np.float64, count=n)
@@ -131,26 +130,7 @@ class HashingSentenceEncoder:
         Tokenizes and interns once, then takes the batched path; each row is
         bit-identical to ``encode`` of the same text.
         """
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float64)
-        ids: dict[str, int] = {}
-        vocab: list[str] = []
-        flat: list[int] = []
-        bounds = [0]
-        for text in texts:
-            for token in tokenize(text):
-                tid = ids.get(token)
-                if tid is None:
-                    tid = len(vocab)
-                    ids[token] = tid
-                    vocab.append(token)
-                flat.append(tid)
-            bounds.append(len(flat))
-        return self.encode_tokenized(
-            np.asarray(flat, dtype=np.int32),
-            np.asarray(bounds, dtype=np.int64),
-            vocab,
-        )
+        return self.encode_tokenized(*tokenize_corpus(texts))
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:

@@ -25,7 +25,7 @@ from collections import Counter
 import numpy as np
 
 from repro.nlp.vocabulary import TOXIC_LEXICON
-from repro.util.text import tokenize
+from repro.util.text import tokenize, tokenize_corpus
 
 #: Bigrams whose combination is more toxic than the parts.
 _TOXIC_BIGRAMS: dict[tuple[str, str], float] = {
@@ -148,24 +148,4 @@ class PerspectiveScorer:
 
     def score_batch(self, texts: list[str]) -> list[float]:
         """Per-text scores; each equals ``score(text)`` bit for bit."""
-        if not texts:
-            return []
-        ids: dict[str, int] = {}
-        vocab: list[str] = []
-        flat: list[int] = []
-        bounds = [0]
-        for text in texts:
-            for token in tokenize(text):
-                tid = ids.get(token)
-                if tid is None:
-                    tid = len(vocab)
-                    ids[token] = tid
-                    vocab.append(token)
-                flat.append(tid)
-            bounds.append(len(flat))
-        scores = self.score_tokenized(
-            np.asarray(flat, dtype=np.int32),
-            np.asarray(bounds, dtype=np.int64),
-            vocab,
-        )
-        return [float(s) for s in scores]
+        return self.score_tokenized(*tokenize_corpus(texts)).tolist()

@@ -77,7 +77,8 @@ def resolve(path: str) -> RouteMatch:
         return RouteMatch("instance", domain)
     if path.startswith("/v1/timeline/"):
         uid = path[len("/v1/timeline/") :]
-        if not uid.isdigit():
+        # ASCII only: str.isdigit() also accepts digits int() rejects ("²")
+        if not (uid.isascii() and uid.isdigit()):
             raise RequestError(404, f"no such path: {path}")
         return RouteMatch("timeline", uid)
     if path == "/v1/trends":

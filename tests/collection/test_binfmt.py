@@ -6,6 +6,7 @@ import pytest
 
 from repro.collection.binfmt import _from_micros, _to_micros
 from repro.collection.dataset import MigrationDataset
+from repro.errors import DatasetFormatError
 from tests.conftest import make_status, make_tweet
 
 
@@ -130,6 +131,29 @@ class TestRoundTrip:
             np.savez(handle, **arrays)
         with pytest.raises(ValueError, match="format"):
             MigrationDataset.load(bad)
+        with pytest.raises(DatasetFormatError, match="format"):
+            MigrationDataset.load(bad, lazy=True)
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_truncated_archive_is_a_format_error(
+        self, tiny_dataset, tmp_path, lazy
+    ):
+        path = tmp_path / "dataset.npz"
+        fill(tiny_dataset).save(path)
+        half = tmp_path / "half.npz"
+        half.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(DatasetFormatError):
+            MigrationDataset.load(half, lazy=lazy)
+
+    def test_lazy_column_fetch_from_damaged_archive(
+        self, tiny_dataset, tmp_path
+    ):
+        path = tmp_path / "dataset.npz"
+        fill(tiny_dataset).save(path)
+        lazy = MigrationDataset.load(path, lazy=True)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        with pytest.raises(DatasetFormatError):
+            lazy.twitter_timelines
 
     def test_suffix_dispatch(self, tiny_dataset, tmp_path):
         import zipfile

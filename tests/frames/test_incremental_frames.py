@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -28,8 +30,10 @@ from repro.analysis.hashtags import top_hashtags
 from repro.analysis.moderation import moderation_load
 from repro.analysis.toxicity import toxicity_analysis
 from repro.collection.pipeline import CollectionConfig
+from repro.errors import AnalysisError
 from repro.frames.core import DatasetFrames, frames_of
 from repro.incremental import advance, collect_with_cursor
+from repro.serving.app import ServingApp
 from repro.simulation.config import SimConfig
 from repro.simulation.world import build_world
 
@@ -248,3 +252,34 @@ class TestSelectiveInvalidate:
         assert out == {"products": 0, "results": 1}  # unknown-deps only
         stats = warm_frames.cache_stats()
         assert stats["invalidations"] == 1
+
+
+def test_superseded_snapshot_is_freed_without_cyclic_collection(world):
+    """Frames hold their dataset weakly: after a day's advance, rebase and
+    hot swap, dropping the old snapshot frees it at once, with the cyclic
+    collector off."""
+    from_clock, to_clock = DAY_PAIRS["busy"]
+    base, cursor = collect_with_cursor(
+        world, CollectionConfig(clock=from_clock)
+    )
+    app = ServingApp(base)
+    app.warm()
+    _warm(frames_of(base))
+    _analyses(base)
+    gc.collect()
+    gc.disable()
+    try:
+        new_ds, cursor, delta = advance(world, base, cursor, to_clock)
+        app.swap_dataset(new_ds, delta)
+        superseded = weakref.ref(base)
+        del base
+        assert superseded() is None
+        assert app.get("/healthz")[0] == 200
+    finally:
+        gc.enable()
+
+
+def test_frames_outliving_their_dataset_raise(tiny_dataset):
+    frames = DatasetFrames(dataclasses.replace(tiny_dataset))
+    with pytest.raises(AnalysisError, match="outlived"):
+        frames.tweet_table

@@ -109,6 +109,13 @@ class TestErrors:
         assert app.error_count == 1
         assert app.request_count == 1
 
+    def test_non_ascii_digit_uid_is_a_counted_404(self, small_dataset):
+        app = ServingApp(small_dataset)
+        status, _ = app.get("/v1/timeline/\u00b2")
+        assert status == 404
+        assert app.error_count == 1
+        assert app.request_count == 1
+
 
 class TestCachesAndMetrics:
     def test_metrics_reports_cache_stats(self, small_dataset):

@@ -38,6 +38,8 @@ class TestResolve:
             "/v1/instances/a/b",
             "/v1/timeline/alice",
             "/v1/timeline/",
+            "/v1/timeline/\u00b2",
+            "/v1/timeline/\u0663",
             "/HEALTHZ",
         ],
     )

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
 from repro.obs.bench_report import check_memory_ceilings, load_history
 from repro.simulation import scalebench
 
@@ -53,11 +58,23 @@ def test_history_rows_carry_the_ceiling_for_the_gate(tmp_path):
 
 def test_cli_no_record_exit_codes(tmp_path, capsys):
     history = tmp_path / "h.jsonl"
-    ok = scalebench.main([
-        "--scales", "0.002", "--seed", "11", "--no-record",
-        "--history", str(history),
-    ])
-    assert ok == 0
+    # The default ceiling is meant for the plan build alone; in this test
+    # process the reading would also hold everything the session keeps
+    # resident (worlds and datasets of other tests), so a fresh process
+    # runs the default-ceiling call.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    ok = subprocess.run(
+        [
+            sys.executable, "-m", "repro.simulation.scalebench",
+            "--scales", "0.002", "--seed", "11", "--no-record",
+            "--history", str(history),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert ok.returncode == 0, ok.stderr
     assert not history.exists()
     breached = scalebench.main([
         "--scales", "0.002", "--seed", "11", "--no-record",
