@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, resolve_frames
+from repro.frames import AUTO, Interner, resolve_frames
 from repro.nlp.toxicity import PerspectiveScorer
 from repro.util.stats import percent
 
@@ -81,29 +83,37 @@ def moderation_load(
 def _moderation_frames(
     fr, threshold: float, small_cutoff: int
 ) -> ModerationResult:
-    """Same walk, but toxicity comes from the cached per-row score vector.
+    """The same counts from the status table alone.
 
-    The per-status instance attribution (``account_acct``'s domain) is not
-    a table column, so the loop still touches the status objects — but the
-    scorer, by far the dominant cost, is replaced by an indexed read of
-    ``fr.status_toxicity`` (bit-identical to ``scorer.score`` per row).
+    Each row's instance is the domain of its interned posting account, and
+    its toxicity an indexed read of ``fr.status_toxicity`` (bit-identical
+    to ``scorer.score`` per row); only the rows of matched users count.
     """
     dataset = fr.dataset
-    scores = fr.status_toxicity
     table = fr.status_table
-    per_instance: dict[str, dict[str, int]] = {}
-    for uid, statuses in dataset.mastodon_timelines.items():
-        if dataset.matched.get(uid) is None:
-            continue
-        start, _ = table.slice_of(uid)
-        for i, status in enumerate(statuses):
-            domain = status.account_acct.split("@", 1)[1]
-            bucket = per_instance.setdefault(
-                domain, {"users": 0, "statuses": 0, "toxic": 0}
-            )
-            bucket["statuses"] += 1
-            if scores[start + i] > threshold:
-                bucket["toxic"] += 1
+    owned = np.fromiter(
+        (uid in dataset.matched for uid in table.uids), bool, len(table.uids)
+    )
+    rows = np.repeat(owned, np.diff(table.bounds))
+    acct_ids = table.acct_ids[rows]
+    toxic = fr.status_toxicity[rows] > threshold
+    domains = Interner()
+    acct_domain = np.full(len(table.accts), -1, dtype=np.int64)
+    for acct_id in np.unique(acct_ids).tolist():
+        acct_domain[acct_id] = domains.intern(
+            table.accts[acct_id].split("@", 1)[1]
+        )
+    row_domains = acct_domain[acct_ids]
+    statuses = np.bincount(row_domains, minlength=len(domains))
+    toxic_counts = np.bincount(row_domains[toxic], minlength=len(domains))
+    per_instance = {
+        domain: {
+            "users": 0,
+            "statuses": int(statuses[i]),
+            "toxic": int(toxic_counts[i]),
+        }
+        for i, domain in enumerate(domains.vocab)
+    }
     return _build_result(dataset, per_instance, small_cutoff)
 
 

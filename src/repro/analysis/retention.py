@@ -12,16 +12,21 @@ migrant by their end-of-window behaviour:
 - **never engaged** — matched, but never posted a single status.
 
 The classification uses only crawled timelines, so it runs on a collected
-(or anonymised) dataset like every other analysis.
+(or anonymised) dataset like every other analysis; on frames it reads the
+timeline tables' day columns, never a post object.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
+from repro.frames import AUTO, resolve_frames
 from repro.util.clock import SIM_END
 from repro.util.stats import Ecdf, percent
 
@@ -50,21 +55,82 @@ def retention(
     if not dataset.matched:
         raise AnalysisError("empty dataset")
     cutoff = window_end - _dt.timedelta(days=final_days - 1)
-    retained = dual = returned = lurking = never = 0
-    days_active: list[int] = []
-    n = 0
+    fr = resolve_frames(dataset, AUTO)
+    if fr is not None:
+        return fr.result(
+            ("retention", window_end, final_days),
+            lambda: _classify(_activity_frames(fr, cutoff)),
+        )
+    return _classify(_activity(dataset, cutoff))
+
+
+_Activity = Iterator[tuple[int, bool, bool]]
+
+
+def _activity(dataset: MigrationDataset, cutoff: _dt.date) -> _Activity:
+    """Per classifiable migrant, in ``matched`` order: distinct Mastodon
+    posting days, and whether they posted on Mastodon / Twitter on or after
+    ``cutoff``."""
     for uid in dataset.matched:
         statuses = dataset.mastodon_timelines.get(uid)
         tweets = dataset.twitter_timelines.get(uid)
         if statuses is None and uid not in dataset.accounts:
             continue  # unreachable account: cannot classify
-        n += 1
         status_days = {s.created_date for s in statuses or ()}
         tweet_days = {t.created_date for t in tweets or ()}
-        days_active.append(len(status_days))
-        masto_final = any(d >= cutoff for d in status_days)
-        twitter_final = any(d >= cutoff for d in tweet_days)
-        if not status_days:
+        yield (
+            len(status_days),
+            any(d >= cutoff for d in status_days),
+            any(d >= cutoff for d in tweet_days),
+        )
+
+
+def _activity_frames(fr, cutoff: _dt.date) -> _Activity:
+    """:func:`_activity` read off the timeline tables' day columns."""
+    dataset = fr.dataset
+    last_day = cutoff.toordinal()
+    status_table, tweet_table = fr.status_table, fr.tweet_table
+    status_days, status_last = _days_per_owner(status_table)
+    _, tweet_last = _days_per_owner(tweet_table)
+    status_row = {uid: i for i, uid in enumerate(status_table.uids)}
+    tweet_row = {uid: i for i, uid in enumerate(tweet_table.uids)}
+    for uid in dataset.matched:
+        s = status_row.get(uid)
+        if s is None and uid not in dataset.accounts:
+            continue
+        t = tweet_row.get(uid)
+        yield (
+            0 if s is None else status_days[s],
+            s is not None and status_last[s] >= last_day,
+            t is not None and tweet_last[t] >= last_day,
+        )
+
+
+def _days_per_owner(table) -> tuple[list[int], list[int]]:
+    """Per timeline owner: distinct posting days and the latest day
+    ordinal (-1 for an empty timeline)."""
+    owners = len(table.uids)
+    days = table.day_ordinals
+    if not days.size:
+        return [0] * owners, [-1] * owners
+    lo = int(days.min())
+    span = int(days.max()) - lo + 1
+    owner_of_row = np.repeat(np.arange(owners, dtype=np.int64), np.diff(table.bounds))
+    # sorted by owner, then day: one key per (owner, distinct day)
+    keys = np.unique(owner_of_row * span + (days - lo))
+    distinct = np.bincount(keys // span, minlength=owners)
+    last = np.full(owners, -1, dtype=np.int64)
+    has = distinct > 0
+    last[has] = keys[np.cumsum(distinct)[has] - 1] % span + lo
+    return distinct.tolist(), last.tolist()
+
+
+def _classify(activity: _Activity) -> RetentionResult:
+    retained = dual = returned = lurking = never = 0
+    days_active: list[int] = []
+    for active_days, masto_final, twitter_final in activity:
+        days_active.append(active_days)
+        if not active_days:
             never += 1
         elif masto_final and twitter_final:
             dual += 1
@@ -75,6 +141,7 @@ def retention(
             returned += 1
         else:
             lurking += 1
+    n = len(days_active)
     if n == 0:
         raise AnalysisError("no classifiable users")
     return RetentionResult(

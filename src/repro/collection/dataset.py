@@ -236,10 +236,14 @@ class MigrationDataset:
         """Read a dataset saved by :meth:`save`, either format.
 
         ``lazy=True`` (``.npz`` only) defers the three big corpora —
-        ``collected_tweets`` and both timeline dicts — until first
+        ``collected_tweets`` and both timeline mappings — until first
         access, so a serving process answers header-only endpoints
         before decoding a single timeline column.  Contents are
-        identical either way; JSON loads ignore the flag.
+        identical either way; JSON loads ignore the flag.  An ``.npz``
+        load keeps each timeline field as a
+        :class:`~repro.collection.binfmt.ColumnTimelines` mapping over
+        the archive's columns, which builds a uid's posts only when that
+        value is read.
         """
         path = Path(path)
         if path.suffix == ".npz":

@@ -103,6 +103,9 @@ RESULT_DEPS: dict[tuple, frozenset[str]] = {
         {"twitter_timelines", "mastodon_timelines"}
     ),
     ("moderation_load",): frozenset({"mastodon_timelines", "matched"}),
+    ("retention",): frozenset(
+        {"matched", "accounts", "twitter_timelines", "mastodon_timelines"}
+    ),
 }
 
 
@@ -231,7 +234,10 @@ class DatasetFrames:
         return self._product(
             "status_table",
             lambda: build_timeline_table(
-                self.dataset.mastodon_timelines, "application", "is_boost"
+                self.dataset.mastodon_timelines,
+                "application",
+                "is_boost",
+                "account_acct",
             ),
         )
 
@@ -520,11 +526,12 @@ class DatasetFrames:
             "collected_days",
         }
         with obs.current().span("frames.rebase") as span:
-            for side, label_attr, flag_attr, timelines, kept, domain in (
+            for side, label_attr, flag_attr, acct_attr, timelines, kept, domain in (
                 (
                     "tweet",
                     "source",
                     "is_retweet",
+                    None,
                     dataset.twitter_timelines,
                     delta.twitter_changed,
                     "twitter_timelines",
@@ -533,6 +540,7 @@ class DatasetFrames:
                     "status",
                     "application",
                     "is_boost",
+                    "account_acct",
                     dataset.mastodon_timelines,
                     delta.mastodon_changed,
                     "mastodon_timelines",
@@ -554,7 +562,7 @@ class DatasetFrames:
                             new._products[name] = self._products[name]
                     continue
                 table, rowmap = rebase_timeline_table(
-                    old_table, timelines, label_attr, flag_attr, kept
+                    old_table, timelines, label_attr, flag_attr, kept, acct_attr
                 )
                 new._products[f"{side}_table"] = table
                 old_tokens = self._products.get(f"{side}_tokens")

@@ -7,6 +7,11 @@ order the naive analysis loops visit them (dict insertion order, list
 order within a timeline), so any frames-backed analysis that walks a
 table reproduces the naive path's accumulation order bit for bit.
 
+A dataset reloaded from ``.npz`` keeps its timelines as archive columns
+(:class:`~repro.collection.binfmt.ColumnTimelines`); its timeline tables
+are read off those columns, equal field for field to the object walk's,
+without building a post.  In-memory datasets take the object walk.
+
 Token tables come from one corpus tokenizer,
 :func:`repro.util.text.tokenize_corpus`, equal by construction to per-text
 ``tokenize`` interned in first-seen order; an incremental rebase runs it
@@ -25,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.collection.binfmt import ColumnTimelines, PostColumns
 from repro.util.text import normalize_hashtag, tokenize_corpus
 
 
@@ -73,7 +79,9 @@ class TimelineTable:
     ``source`` / status ``application``); ``flags`` holds ``is_retweet``
     / ``is_boost``.  Hashtag occurrences are a postings list — one
     ``(tag_rows[j], tag_ids[j])`` pair per occurrence, duplicates kept,
-    exactly as the naive per-post loops count them.
+    exactly as the naive per-post loops count them.  Status tables also
+    intern each row's posting account (``account_acct``) in ``acct_ids``;
+    tweet tables leave both acct fields None.
     """
 
     uids: list[int]
@@ -87,6 +95,8 @@ class TimelineTable:
     tag_rows: np.ndarray  # int64 per hashtag occurrence
     tag_ids: np.ndarray  # int32 per hashtag occurrence
     tags: list[str]
+    acct_ids: np.ndarray | None = None  # int32 per post (statuses)
+    accts: list[str] | None = None
     _slices: dict[int, tuple[int, int]] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -116,13 +126,28 @@ class TimelineTable:
 
 
 def build_timeline_table(
-    timelines: dict[int, list], label_attr: str, flag_attr: str
+    timelines: dict[int, list],
+    label_attr: str,
+    flag_attr: str,
+    acct_attr: str | None = None,
 ) -> TimelineTable:
     """Flatten ``{uid: [posts]}`` into a :class:`TimelineTable`.
 
     Works for both platforms: posts only need ``created_date``,
-    ``hashtags``, ``text`` and the named label/flag attributes.
+    ``hashtags``, ``text`` and the named label/flag attributes, plus
+    ``acct_attr`` when given (statuses pass ``"account_acct"``).
+    Timelines still backed by a saved archive's columns
+    (:class:`~repro.collection.binfmt.ColumnTimelines`) are flattened
+    from those columns, building no post; the result is the same table.
+    The named attributes must then be the ones the archive stores
+    (:attr:`~repro.collection.binfmt.PostColumns.attrs`), else ValueError.
     """
+    if isinstance(timelines, ColumnTimelines):
+        columns = timelines.columns
+        if columns is not None:
+            return _table_from_columns(
+                timelines, columns, (label_attr, flag_attr, acct_attr)
+            )
     uids: list[int] = []
     bounds = [0]
     days: list[int] = []
@@ -132,8 +157,10 @@ def build_timeline_table(
     texts: list[str] = []
     tag_rows: list[int] = []
     tag_ids: list[int] = []
+    acct_ids: list[int] = []
     labels = Interner()
     tags = Interner()
+    accts = Interner()
     row = 0
     for uid, posts in timelines.items():
         uids.append(uid)
@@ -143,6 +170,8 @@ def build_timeline_table(
             label_ids.append(labels.intern(getattr(post, label_attr)))
             flags.append(getattr(post, flag_attr))
             texts.append(post.text)
+            if acct_attr is not None:
+                acct_ids.append(accts.intern(getattr(post, acct_attr)))
             for tag in post.hashtags:
                 tag_rows.append(row)
                 tag_ids.append(tags.intern(normalize_hashtag(tag)))
@@ -160,6 +189,48 @@ def build_timeline_table(
         tag_rows=np.asarray(tag_rows, dtype=np.int64),
         tag_ids=np.asarray(tag_ids, dtype=np.int32),
         tags=tags.vocab,
+        acct_ids=(
+            np.asarray(acct_ids, dtype=np.int32) if acct_attr is not None else None
+        ),
+        accts=accts.vocab if acct_attr is not None else None,
+    )
+
+
+def _table_from_columns(
+    timelines: ColumnTimelines,
+    columns: PostColumns,
+    attrs: tuple[str, str, str | None],
+) -> TimelineTable:
+    """The object walk's table, read straight off a saved archive's columns.
+
+    The archive's label (and acct) ids are reused as they are: the writer
+    interned them in the same first-seen order over the same posts, which
+    the loader checks.
+    """
+    if attrs != columns.attrs:
+        raise ValueError(f"the archive's columns hold {columns.attrs}, not {attrs}")
+    rows, found = columns.hashtag_postings()
+    tags = Interner()
+    tag_ids = np.fromiter(
+        map(tags.intern, map(normalize_hashtag, found)), np.int32, len(found)
+    )
+    bounds = timelines.bounds
+    return TimelineTable(
+        uids=list(timelines.uids),
+        bounds=bounds,
+        day_ordinals=columns.day_ordinals(),
+        row_uids=np.repeat(
+            np.asarray(timelines.uids, dtype=np.int64), np.diff(bounds)
+        ),
+        label_ids=columns.label_ids,
+        labels=list(columns.labels),
+        flags=columns.flags,
+        texts=columns.texts,
+        tag_rows=np.asarray(rows, dtype=np.int64),
+        tag_ids=tag_ids,
+        tags=tags.vocab,
+        acct_ids=columns.acct_ids,
+        accts=None if columns.accts is None else list(columns.accts),
     )
 
 
@@ -191,6 +262,7 @@ def rebase_timeline_table(
     label_attr: str,
     flag_attr: str,
     kept: dict[int, int],
+    acct_attr: str | None = None,
 ) -> tuple[TimelineTable, RowMap]:
     """Rebuild a timeline table by splicing old rows with fresh posts.
 
@@ -198,14 +270,16 @@ def rebase_timeline_table(
     a prefix of its new timeline (0 for newly-appeared uids); uids absent
     from ``kept`` are unchanged and their whole old slice is copied.  The
     result is bit-identical to ``build_timeline_table(timelines, ...)``:
-    label and tag vocabularies are re-interned in new first-occurrence
+    label, tag and acct vocabularies are re-interned in new first-occurrence
     order (old ids are remapped per copied segment), because interner order
     is observable downstream (e.g. ``Counter.most_common`` tie-breaks).
     """
     labels = Interner()
     tags = Interner()
+    accts = Interner()
     old_label_map = np.full(len(old.labels), -1, dtype=np.int32)
     old_tag_map = np.full(len(old.tags), -1, dtype=np.int32)
+    old_acct_map = np.full(len(old.accts or ()), -1, dtype=np.int32)
     old_tag_rows = old.tag_rows
 
     uids: list[int] = []
@@ -216,6 +290,7 @@ def rebase_timeline_table(
     texts: list[str] = []
     tag_row_parts: list[np.ndarray] = []
     tag_id_parts: list[np.ndarray] = []
+    acct_parts: list[np.ndarray] = []
     runs: list[tuple[int, int, int]] = []
     fresh: list[int] = []
     # per-segment fresh-row scratch, flushed into the part lists
@@ -224,15 +299,19 @@ def rebase_timeline_table(
     f_flags: list[bool] = []
     f_tag_rows: list[int] = []
     f_tag_ids: list[int] = []
+    f_accts: list[int] = []
 
     def flush_fresh() -> None:
         if f_days:
             day_parts.append(np.asarray(f_days, dtype=np.int64))
             label_parts.append(np.asarray(f_labels, dtype=np.int32))
             flag_parts.append(np.asarray(f_flags, dtype=bool))
+            if acct_attr is not None:
+                acct_parts.append(np.asarray(f_accts, dtype=np.int32))
             f_days.clear()
             f_labels.clear()
             f_flags.clear()
+            f_accts.clear()
         if f_tag_rows:
             tag_row_parts.append(np.asarray(f_tag_rows, dtype=np.int64))
             tag_id_parts.append(np.asarray(f_tag_ids, dtype=np.int32))
@@ -250,6 +329,27 @@ def rebase_timeline_table(
                 id_map[oid] = interner.intern(old_vocab[oid])
         return id_map[segment]
 
+    def copy_rows(start: int, stop: int, new_start: int) -> None:
+        """Old rows ``start:stop`` become new rows from ``new_start``."""
+        day_parts.append(old.day_ordinals[start:stop])
+        flag_parts.append(old.flags[start:stop])
+        label_parts.append(
+            remap(old.label_ids[start:stop], old_label_map, old.labels, labels)
+        )
+        if acct_attr is not None:
+            acct_parts.append(
+                remap(old.acct_ids[start:stop], old_acct_map, old.accts, accts)
+            )
+        texts.extend(old.texts[start:stop])
+        lo = int(np.searchsorted(old_tag_rows, start, side="left"))
+        hi = int(np.searchsorted(old_tag_rows, stop, side="left"))
+        if hi > lo:
+            tag_id_parts.append(
+                remap(old.tag_ids[lo:hi], old_tag_map, old.tags, tags)
+            )
+            tag_row_parts.append(old_tag_rows[lo:hi] - start + new_start)
+        runs.append((new_start, start, stop - start))
+
     row = 0
     # consecutive unchanged uids occupy contiguous old rows; coalescing
     # their slices into one block turns thousands of per-uid numpy calls
@@ -264,20 +364,7 @@ def rebase_timeline_table(
             return
         start, stop, new_start = pend_old, pend_stop, pend_new
         pend_old = pend_stop = pend_new = -1
-        day_parts.append(old.day_ordinals[start:stop])
-        flag_parts.append(old.flags[start:stop])
-        label_parts.append(
-            remap(old.label_ids[start:stop], old_label_map, old.labels, labels)
-        )
-        texts.extend(old.texts[start:stop])
-        lo = int(np.searchsorted(old_tag_rows, start, side="left"))
-        hi = int(np.searchsorted(old_tag_rows, stop, side="left"))
-        if hi > lo:
-            tag_id_parts.append(
-                remap(old.tag_ids[lo:hi], old_tag_map, old.tags, tags)
-            )
-            tag_row_parts.append(old_tag_rows[lo:hi] - start + new_start)
-        runs.append((new_start, start, stop - start))
+        copy_rows(start, stop, new_start)
 
     for uid, posts in timelines.items():
         uids.append(uid)
@@ -301,32 +388,15 @@ def rebase_timeline_table(
         default_kept = (span[1] - span[0]) if span is not None else 0
         k = kept.get(uid, default_kept)
         if k:
-            start = span[0]
             flush_fresh()
-            day_parts.append(old.day_ordinals[start : start + k])
-            flag_parts.append(old.flags[start : start + k])
-            label_parts.append(
-                remap(
-                    old.label_ids[start : start + k],
-                    old_label_map,
-                    old.labels,
-                    labels,
-                )
-            )
-            texts.extend(old.texts[start : start + k])
-            lo = int(np.searchsorted(old_tag_rows, start, side="left"))
-            hi = int(np.searchsorted(old_tag_rows, start + k, side="left"))
-            if hi > lo:
-                tag_id_parts.append(
-                    remap(old.tag_ids[lo:hi], old_tag_map, old.tags, tags)
-                )
-                tag_row_parts.append(old_tag_rows[lo:hi] - start + row)
-            runs.append((row, start, k))
+            copy_rows(span[0], span[0] + k, row)
             row += k
         for post in posts[k:]:
             f_days.append(post.created_date.toordinal())
             f_labels.append(labels.intern(getattr(post, label_attr)))
             f_flags.append(getattr(post, flag_attr))
+            if acct_attr is not None:
+                f_accts.append(accts.intern(getattr(post, acct_attr)))
             texts.append(post.text)
             for tag in post.hashtags:
                 f_tag_rows.append(row)
@@ -365,6 +435,12 @@ def rebase_timeline_table(
             np.concatenate(tag_id_parts) if tag_id_parts else empty32
         ),
         tags=tags.vocab,
+        acct_ids=(
+            (np.concatenate(acct_parts) if acct_parts else empty32)
+            if acct_attr is not None
+            else None
+        ),
+        accts=accts.vocab if acct_attr is not None else None,
     )
     rowmap = RowMap(
         runs=runs,

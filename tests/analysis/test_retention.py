@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.retention import retention
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
+from repro.frames import frames_disabled
 from repro.util.clock import SIM_END
 from tests.conftest import make_status, make_tweet
 
@@ -65,6 +66,16 @@ class TestRetention:
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):
             retention(MigrationDataset())
+
+
+class TestRetentionNaive(TestRetention):
+    """The same hand-built edge cases on the naive path, which reads post
+    objects where the default frames path reads timeline tables."""
+
+    @pytest.fixture(autouse=True)
+    def _naive(self):
+        with frames_disabled():
+            yield
 
 
 class TestOnSimulatedData:

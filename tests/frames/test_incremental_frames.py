@@ -10,8 +10,9 @@ strings, plus offsets and vocabulary as a set.
 
 Both a quiet day (corpus unchanged — most products carried verbatim) and
 a busy day (corpus append + new matches — most products rebuilt or
-spliced) are exercised.  Selective invalidation and its counter are
-covered at the bottom.
+spliced) are exercised, the busy day also from a base snapshot reloaded
+from ``.npz``, whose frames were built from the archive columns.
+Selective invalidation and its counter are covered at the bottom.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from repro.analysis.content import content_similarity
 from repro.analysis.hashtags import top_hashtags
 from repro.analysis.moderation import moderation_load
 from repro.analysis.toxicity import toxicity_analysis
+from repro.collection.binfmt import ColumnTimelines
+from repro.collection.dataset import MigrationDataset
 from repro.collection.pipeline import CollectionConfig
 from repro.errors import AnalysisError
 from repro.frames.core import DatasetFrames, frames_of
@@ -45,6 +48,13 @@ SCALE = 0.002
 DAY_PAIRS = {
     "busy": (dt.date(2022, 11, 10), dt.date(2022, 11, 11)),
     "quiet": (dt.date(2022, 11, 24), dt.date(2022, 11, 25)),
+}
+#: Cases: each day pair from an in-memory base, and the busy day from a
+#: base saved to and reloaded from ``.npz``.
+CASES = {
+    "busy": ("busy", False),
+    "quiet": ("quiet", False),
+    "busy-reloaded": ("busy", True),
 }
 
 PRODUCTS = (
@@ -116,16 +126,25 @@ def world():
     return build_world(SimConfig(seed=SEED, scale=SCALE))
 
 
-@pytest.fixture(scope="module", params=sorted(DAY_PAIRS), ids=sorted(DAY_PAIRS))
-def pair(world, request):
+@pytest.fixture(scope="module", params=sorted(CASES), ids=sorted(CASES))
+def pair(world, request, tmp_path_factory):
     """(rebased frames, cold frames, advanced dataset, cold dataset, delta)."""
-    from_clock, to_clock = DAY_PAIRS[request.param]
+    day_pair, reloaded = CASES[request.param]
+    from_clock, to_clock = DAY_PAIRS[day_pair]
     base, cursor = collect_with_cursor(
         world, CollectionConfig(clock=from_clock)
     )
+    if reloaded:
+        path = tmp_path_factory.mktemp("base") / "base.npz"
+        base.save(path)
+        base = MigrationDataset.load(path)
     warm = frames_of(base)
     _warm(warm)
     _analyses(base)
+    if reloaded:
+        for timelines in (base.twitter_timelines, base.mastodon_timelines):
+            assert isinstance(timelines, ColumnTimelines)
+            assert timelines.built_count == 0  # frames came from the columns
     new_ds, _, delta = advance(world, base, cursor, to_clock)
     rebased = warm.rebase(new_ds, delta)
     cold_ds, _ = collect_with_cursor(world, CollectionConfig(clock=to_clock))
@@ -160,10 +179,15 @@ class TestRebaseBitIdentity:
             "tag_rows",
             "tag_ids",
             "tags",
+            "acct_ids",
+            "accts",
         ):
             assert deep_eq(getattr(rt, column), getattr(ct, column)), (
                 f"{side}_table.{column} diverged after rebase"
             )
+        if side == "status":
+            assert rt.acct_ids.dtype == np.int32
+            assert len(rt.acct_ids) == rt.row_count
 
     @pytest.mark.parametrize("side", ["tweet", "status"])
     def test_token_tables_row_equivalent(self, pair, side):
