@@ -3,7 +3,8 @@
 Runs the *entire* figure suite (16 paper figures, 3 extensions, headline
 report) three ways on the shared benchmark dataset:
 
-- naive: frames disabled, the original per-object loops;
+- naive: the per-object oracles of ``tests/oracles/`` installed in place
+  of the frames-backed analyses;
 - frames cold: first run on a fresh :class:`DatasetFrames` (pays the
   column/table/embedding build);
 - frames warm: second run on the same frames (result-cache hits).
@@ -24,7 +25,8 @@ from conftest import record_analysis
 from repro.analysis.report import format_report, headline_report
 from repro.collection.dataset import MigrationDataset
 from repro.experiments.registry import run_all
-from repro.frames import frames_disabled, invalidate
+from repro.frames import invalidate
+from tests.oracles import oracles_installed
 
 #: Full-suite speedup the frames must deliver (acceptance gate is 2x at
 #: CI scale; at the default 0.01 scale the measured ratio is ~3x+).
@@ -41,7 +43,7 @@ def _run_suite(dataset: MigrationDataset) -> tuple[str, float]:
 
 
 def test_bench_analysis_suite(bench_dataset):
-    with frames_disabled():
+    with oracles_installed():
         naive_text, naive_seconds = _run_suite(bench_dataset)
 
     invalidate(bench_dataset)

@@ -6,7 +6,7 @@ Usage::
 
 Demonstrates the parts of the public API a downstream study would use:
 
-1. overriding :class:`WorldConfig` fields (here: an ablated world with the
+1. overriding :class:`SimConfig` fields (here: an ablated world with the
    social-contagion term switched off);
 2. comparing an analysis across worlds;
 3. saving the collected dataset to JSON and reloading it (the analyses run

@@ -32,13 +32,12 @@ Quickstart::
 """
 
 from repro._version import __version__
-from repro.simulation import SimConfig, WorldConfig, build_world
+from repro.simulation import SimConfig, build_world
 from repro.collection import MigrationDataset, collect_dataset
 
 __all__ = [
     "__version__",
     "SimConfig",
-    "WorldConfig",
     "build_world",
     "MigrationDataset",
     "collect_dataset",

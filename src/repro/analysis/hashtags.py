@@ -9,12 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, resolve_frames
-from repro.util.text import normalize_hashtag
+from repro.frames import frames_of, tag_counts
 
 
 @dataclass(frozen=True)
@@ -43,41 +40,17 @@ class HashtagsResult:
     distinct_mastodon: int
 
 
-def _tag_counts(table) -> dict[str, int]:
-    """Occurrence counts per normalized tag from a table's postings list."""
-    if table.tag_ids.size == 0:
-        return {}
-    counts = np.bincount(table.tag_ids, minlength=len(table.tags))
-    return {tag: int(counts[i]) for i, tag in enumerate(table.tags) if counts[i]}
-
-
-def top_hashtags(
-    dataset: MigrationDataset, k: int = 30, frames=AUTO
-) -> HashtagsResult:
+def top_hashtags(dataset: MigrationDataset, k: int = 30) -> HashtagsResult:
     """Joint top-k hashtags by total frequency over both crawled corpora."""
     if not dataset.twitter_timelines and not dataset.mastodon_timelines:
         raise AnalysisError("no timelines in dataset")
-    fr = resolve_frames(dataset, frames)
-    if fr is not None:
-        twitter = fr.result(
-            ("tag_counts", "twitter"), lambda: _tag_counts(fr.tweet_table)
-        )
-        mastodon = fr.result(
-            ("tag_counts", "mastodon"), lambda: _tag_counts(fr.status_table)
-        )
-    else:
-        twitter = {}
-        mastodon = {}
-        for tweets in dataset.twitter_timelines.values():
-            for tweet in tweets:
-                for tag in tweet.hashtags:
-                    key = normalize_hashtag(tag)
-                    twitter[key] = twitter.get(key, 0) + 1
-        for statuses in dataset.mastodon_timelines.values():
-            for status in statuses:
-                for tag in status.hashtags:
-                    key = normalize_hashtag(tag)
-                    mastodon[key] = mastodon.get(key, 0) + 1
+    fr = frames_of(dataset)
+    twitter = fr.result(
+        ("tag_counts", "twitter"), lambda: tag_counts(fr.tweet_table)
+    )
+    mastodon = fr.result(
+        ("tag_counts", "mastodon"), lambda: tag_counts(fr.status_table)
+    )
     totals = {
         tag: twitter.get(tag, 0) + mastodon.get(tag, 0)
         for tag in set(twitter) | set(mastodon)

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, resolve_frames
+from repro.frames import frames_of
 from repro.util.clock import SIM_END, TAKEOVER_DATE
 from repro.util.stats import Ecdf, percent
 
@@ -59,23 +59,11 @@ class InstanceStatsResult:
     single_vs_rest_statuses_pct: float
 
 
-def _cohort(
-    dataset: MigrationDataset, takeover: _dt.date, crawl_date: _dt.date, min_age: int
-) -> list[int]:
-    cohort = []
-    for uid in dataset.matched:
-        join = dataset.mastodon_join_date(uid)
-        if join is None:
-            continue
-        if join >= takeover and (crawl_date - join).days >= min_age:
-            cohort.append(uid)
-    return cohort
-
-
 def _cohort_frames(
     fr, takeover: _dt.date, crawl_date: _dt.date, min_age: int
 ) -> list[int]:
-    """Integer-ordinal twin of :func:`_cohort` over the profile columns."""
+    """Matched migrants who joined on or after ``takeover`` with an account
+    at least ``min_age`` days old at ``crawl_date`` (profile columns)."""
     table = fr.profile_table
     takeover_ord = takeover.toordinal()
     crawl_ord = crawl_date.toordinal()
@@ -95,39 +83,26 @@ def instance_stats(
     takeover: _dt.date = TAKEOVER_DATE,
     crawl_date: _dt.date = DEFAULT_ANALYSIS_DATE,
     min_account_age_days: int = 30,
-    frames=AUTO,
 ) -> InstanceStatsResult:
     """The full Figure 6 analysis."""
-    fr = resolve_frames(dataset, frames)
-    if fr is not None:
-        return fr.result(
-            (
-                "instance_stats",
-                buckets,
-                takeover,
-                crawl_date,
-                min_account_age_days,
-            ),
-            lambda: _instance_stats_impl(
-                dataset, buckets, takeover, crawl_date, min_account_age_days, fr
-            ),
-        )
-    return _instance_stats_impl(
-        dataset, buckets, takeover, crawl_date, min_account_age_days, None
+    fr = frames_of(dataset)
+    return fr.result(
+        ("instance_stats", buckets, takeover, crawl_date, min_account_age_days),
+        lambda: _instance_stats_frames(
+            fr, buckets, takeover, crawl_date, min_account_age_days
+        ),
     )
 
 
-def _instance_stats_impl(
-    dataset: MigrationDataset,
+def _instance_stats_frames(
+    fr,
     buckets: int,
     takeover: _dt.date,
     crawl_date: _dt.date,
     min_account_age_days: int,
-    fr,
 ) -> InstanceStatsResult:
-    populations = (
-        fr.instance_populations if fr is not None else dataset.instance_populations()
-    )
+    dataset = fr.dataset
+    populations = fr.instance_populations
     if not populations:
         raise AnalysisError("no instances in dataset")
     sizes = np.array(sorted(populations.values()))
@@ -136,44 +111,27 @@ def _instance_stats_impl(
         histogram[size] = histogram.get(size, 0) + 1
     single_share = percent(histogram.get(1, 0), len(populations))
 
-    if fr is not None:
-        cohort = _cohort_frames(fr, takeover, crawl_date, min_account_age_days)
-    else:
-        cohort = _cohort(dataset, takeover, crawl_date, min_account_age_days)
+    cohort = _cohort_frames(fr, takeover, crawl_date, min_account_age_days)
     cohort_share = percent(len(cohort), max(1, len(dataset.matched)))
 
-    table = fr.profile_table if fr is not None else None
+    table = fr.profile_table
     edges = _bucket_edges(sizes, buckets)
     bucket_users: list[list[int]] = [[] for _ in edges]
     for uid in cohort:
-        if table is not None:
-            domain = table.domains[
-                table.matched_domain_ids[table.matched_row[uid]]
-            ]
-        else:
-            domain = dataset.matched[uid].mastodon_domain
+        domain = table.domains[table.matched_domain_ids[table.matched_row[uid]]]
         size = populations.get(domain, 0)
         bucket_users[_bucket_index(size, edges)].append(uid)
 
     built: list[QuantileBucket] = []
     for (lo, hi), uids in zip(edges, bucket_users):
         followers, followees, statuses = [], [], []
-        if table is not None:
-            for uid in uids:
-                row = table.matched_row[uid]
-                if not table.has_account[row]:
-                    continue
-                followers.append(int(table.followers[row]))
-                followees.append(int(table.following[row]))
-                statuses.append(int(table.statuses[row]))
-        else:
-            for uid in uids:
-                record = dataset.accounts.get(uid)
-                if record is None:
-                    continue
-                followers.append(record.followers)
-                followees.append(record.following)
-                statuses.append(record.statuses)
+        for uid in uids:
+            row = table.matched_row[uid]
+            if not table.has_account[row]:
+                continue
+            followers.append(int(table.followers[row]))
+            followees.append(int(table.following[row]))
+            statuses.append(int(table.statuses[row]))
         n_instances = sum(
             1 for s in populations.values() if lo <= s and (hi is None or s <= hi)
         )

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, Interner, resolve_frames
+from repro.frames import Interner, frames_of
 from repro.nlp.toxicity import PerspectiveScorer
 from repro.util.stats import percent
 
@@ -51,43 +51,39 @@ def moderation_load(
     threshold: float = 0.5,
     small_cutoff: int = 5,
     scorer: PerspectiveScorer | None = None,
-    frames=AUTO,
 ) -> ModerationResult:
-    """Toxic-status volume per instance (admin's-eye view)."""
+    """Toxic-status volume per instance (admin's-eye view).
+
+    A custom ``scorer`` scores the shared status token table on every
+    call: its vector is neither the cached default one nor cached.
+    """
     if not dataset.mastodon_timelines:
         raise AnalysisError("no Mastodon timelines in dataset")
-    # A custom scorer invalidates the frames' cached score vector.
-    fr = resolve_frames(dataset, frames) if scorer is None else None
-    if fr is not None:
-        return fr.result(
-            ("moderation_load", threshold, small_cutoff),
-            lambda: _moderation_frames(fr, threshold, small_cutoff),
+    fr = frames_of(dataset)
+    if scorer is not None:
+        tokens = fr.status_tokens
+        return _moderation_frames(
+            fr,
+            threshold,
+            small_cutoff,
+            scorer.score_tokenized(tokens.flat, tokens.offsets, tokens.vocab),
         )
-    scorer = scorer if scorer is not None else PerspectiveScorer()
-    per_instance: dict[str, dict[str, int]] = {}
-    for uid, statuses in dataset.mastodon_timelines.items():
-        user = dataset.matched.get(uid)
-        if user is None:
-            continue
-        for status in statuses:
-            domain = status.account_acct.split("@", 1)[1]
-            bucket = per_instance.setdefault(
-                domain, {"users": 0, "statuses": 0, "toxic": 0}
-            )
-            bucket["statuses"] += 1
-            if scorer.score(status.text) > threshold:
-                bucket["toxic"] += 1
-    return _build_result(dataset, per_instance, small_cutoff)
+    return fr.result(
+        ("moderation_load", threshold, small_cutoff),
+        lambda: _moderation_frames(
+            fr, threshold, small_cutoff, fr.status_toxicity
+        ),
+    )
 
 
 def _moderation_frames(
-    fr, threshold: float, small_cutoff: int
+    fr, threshold: float, small_cutoff: int, scores: np.ndarray
 ) -> ModerationResult:
-    """The same counts from the status table alone.
+    """Toxic-status counts per instance from the status table alone.
 
     Each row's instance is the domain of its interned posting account, and
-    its toxicity an indexed read of ``fr.status_toxicity`` (bit-identical
-    to ``scorer.score`` per row); only the rows of matched users count.
+    its toxicity an indexed read of ``scores`` (bit-identical to
+    ``scorer.score`` per row); only the rows of matched users count.
     """
     dataset = fr.dataset
     table = fr.status_table
@@ -96,7 +92,7 @@ def _moderation_frames(
     )
     rows = np.repeat(owned, np.diff(table.bounds))
     acct_ids = table.acct_ids[rows]
-    toxic = fr.status_toxicity[rows] > threshold
+    toxic = scores[rows] > threshold
     domains = Interner()
     acct_domain = np.full(len(table.accts), -1, dtype=np.int64)
     for acct_id in np.unique(acct_ids).tolist():

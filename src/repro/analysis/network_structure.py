@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, resolve_frames
+from repro.frames import frames_of
 from repro.util.stats import percent
 
 
@@ -80,60 +80,21 @@ def instance_cooccurrence_graph(dataset: MigrationDataset) -> nx.Graph:
     return graph
 
 
-def network_structure(
-    dataset: MigrationDataset, frames=AUTO
-) -> NetworkStructureResult:
+def network_structure(dataset: MigrationDataset) -> NetworkStructureResult:
     """The full structural analysis."""
-    fr = resolve_frames(dataset, frames)
-    if fr is not None:
-        return fr.result(
-            ("network_structure",), lambda: _network_structure_frames(fr)
-        )
-    graph = build_sample_graph(dataset)
-    migrated = {n for n, d in graph.nodes(data=True) if d["migrated"]}
-    edges_into_migrants = sum(1 for __, v in graph.edges if v in migrated)
-    total_edges = graph.number_of_edges()
-    if total_edges == 0:
-        raise AnalysisError("the sampled graph has no edges")
-    baseline = percent(len(migrated), graph.number_of_nodes())
-
-    sampled = set(dataset.followee_sample)
-    inner_edges = [(u, v) for u, v in graph.edges if u in sampled and v in sampled]
-    reciprocated = sum(1 for u, v in inner_edges if graph.has_edge(v, u))
-
-    instance_graph = instance_cooccurrence_graph(dataset)
-
-    sampled_subgraph = graph.subgraph(
-        sampled | {v for u, v in graph.edges if u in sampled and v in migrated}
-    )
-    if sampled_subgraph.number_of_nodes():
-        largest = max(
-            (len(c) for c in nx.weakly_connected_components(sampled_subgraph)),
-            default=0,
-        )
-        largest_pct = percent(largest, sampled_subgraph.number_of_nodes())
-    else:
-        largest_pct = 0.0
-
-    return NetworkStructureResult(
-        nodes=graph.number_of_nodes(),
-        edges=total_edges,
-        migrated_nodes=len(migrated),
-        pct_edges_into_migrants=percent(edges_into_migrants, total_edges),
-        pct_expected_at_random=baseline,
-        reciprocity_pct=percent(reciprocated, len(inner_edges) or 1),
-        instance_graph_nodes=instance_graph.number_of_nodes(),
-        instance_graph_edges=instance_graph.number_of_edges(),
-        largest_component_pct=largest_pct,
+    fr = frames_of(dataset)
+    return fr.result(
+        ("network_structure",), lambda: _network_structure_frames(fr)
     )
 
 
 def _network_structure_frames(fr) -> NetworkStructureResult:
-    """Frames path: the same statistics from flat edge arrays.
+    """The structural statistics from flat edge arrays.
 
     Everything here is integer counting (unique edges, set membership,
     weakly-connected components via union-find), so agreement with the
-    networkx path is exact by construction — asserted in ``tests/frames/``.
+    networkx graphs of :func:`build_sample_graph` is exact by construction
+    — asserted against the oracle in ``tests/frames/``.
     """
     dataset = fr.dataset
     if not dataset.followee_sample:

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, resolve_frames
+from repro.frames import frames_of
 from repro.util.clock import SIM_END
 from repro.util.stats import Ecdf, percent
 
@@ -55,38 +55,21 @@ def retention(
     if not dataset.matched:
         raise AnalysisError("empty dataset")
     cutoff = window_end - _dt.timedelta(days=final_days - 1)
-    fr = resolve_frames(dataset, AUTO)
-    if fr is not None:
-        return fr.result(
-            ("retention", window_end, final_days),
-            lambda: _classify(_activity_frames(fr, cutoff)),
-        )
-    return _classify(_activity(dataset, cutoff))
+    fr = frames_of(dataset)
+    return fr.result(
+        ("retention", window_end, final_days),
+        lambda: _classify(_activity_frames(fr, cutoff)),
+    )
 
 
 _Activity = Iterator[tuple[int, bool, bool]]
 
 
-def _activity(dataset: MigrationDataset, cutoff: _dt.date) -> _Activity:
+def _activity_frames(fr, cutoff: _dt.date) -> _Activity:
     """Per classifiable migrant, in ``matched`` order: distinct Mastodon
     posting days, and whether they posted on Mastodon / Twitter on or after
-    ``cutoff``."""
-    for uid in dataset.matched:
-        statuses = dataset.mastodon_timelines.get(uid)
-        tweets = dataset.twitter_timelines.get(uid)
-        if statuses is None and uid not in dataset.accounts:
-            continue  # unreachable account: cannot classify
-        status_days = {s.created_date for s in statuses or ()}
-        tweet_days = {t.created_date for t in tweets or ()}
-        yield (
-            len(status_days),
-            any(d >= cutoff for d in status_days),
-            any(d >= cutoff for d in tweet_days),
-        )
-
-
-def _activity_frames(fr, cutoff: _dt.date) -> _Activity:
-    """:func:`_activity` read off the timeline tables' day columns."""
+    ``cutoff`` (an unreachable account with no timeline is skipped).  Read
+    off the timeline tables' day columns."""
     dataset = fr.dataset
     last_day = cutoff.toordinal()
     status_table, tweet_table = fr.status_table, fr.tweet_table

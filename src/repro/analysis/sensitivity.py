@@ -53,11 +53,11 @@ def similarity_sweep(
     """Figure 14's statistics across similarity thresholds.
 
     Monotone by construction: a stricter threshold can only shrink the
-    similar share and grow the all-different share.
+    similar share and grow the all-different share.  ``encoder`` (default:
+    the frames' cached embeddings) is passed to every threshold's run.
     """
     if not thresholds:
         raise AnalysisError("need at least one threshold")
-    encoder = encoder if encoder is not None else HashingSentenceEncoder()
     rows = []
     for threshold in sorted(thresholds):
         result = content_similarity(dataset, threshold=threshold, encoder=encoder)
@@ -76,10 +76,13 @@ def toxicity_sweep(
     thresholds: Sequence[float] = DEFAULT_TOXICITY_THRESHOLDS,
     scorer: PerspectiveScorer | None = None,
 ) -> list[ToxicitySweepRow]:
-    """Figure 16's platform comparison across toxicity thresholds."""
+    """Figure 16's platform comparison across toxicity thresholds.
+
+    ``scorer`` (default: the frames' cached scores) is passed to every
+    threshold's run.
+    """
     if not thresholds:
         raise AnalysisError("need at least one threshold")
-    scorer = scorer if scorer is not None else PerspectiveScorer()
     rows = []
     for threshold in sorted(thresholds):
         result = toxicity_analysis(dataset, threshold=threshold, scorer=scorer)

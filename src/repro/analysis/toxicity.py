@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import AUTO, resolve_frames
+from repro.frames import frames_of
 from repro.nlp.toxicity import PerspectiveScorer
 from repro.util.stats import Ecdf, percent
 
@@ -39,59 +39,37 @@ def toxicity_analysis(
     dataset: MigrationDataset,
     threshold: float = TOXICITY_THRESHOLD,
     scorer: PerspectiveScorer | None = None,
-    frames=AUTO,
 ) -> ToxicityResult:
-    """The Figure 16 analysis over all crawled posts."""
+    """The Figure 16 analysis over all crawled posts.
+
+    A custom ``scorer`` scores the shared token tables on every call: its
+    vectors are neither the cached default ones nor cached.
+    """
     if not 0.0 < threshold < 1.0:
         raise AnalysisError(f"threshold must be in (0, 1), got {threshold}")
-    # A custom scorer invalidates the frames' cached score vectors.
-    fr = resolve_frames(dataset, frames) if scorer is None else None
-    if fr is not None:
-        return fr.result(
-            ("toxicity_analysis", threshold),
-            lambda: _toxicity_frames(fr, threshold),
+    fr = frames_of(dataset)
+    if scorer is not None:
+        tweets, statuses = fr.tweet_tokens, fr.status_tokens
+        return _toxicity_frames(
+            fr,
+            threshold,
+            scorer.score_tokenized(tweets.flat, tweets.offsets, tweets.vocab),
+            scorer.score_tokenized(
+                statuses.flat, statuses.offsets, statuses.vocab
+            ),
         )
-    scorer = scorer if scorer is not None else PerspectiveScorer()
-    tweet_fracs: list[float] = []
-    status_fracs: list[float] = []
-    toxic_tweets = total_tweets = 0
-    toxic_statuses = total_statuses = 0
-    toxic_on_twitter: set[int] = set()
-    toxic_on_mastodon: set[int] = set()
-    users_with_both: set[int] = set()
-    for uid, tweets in dataset.twitter_timelines.items():
-        if not tweets:
-            continue
-        toxic = sum(1 for t in tweets if scorer.score(t.text) > threshold)
-        tweet_fracs.append(toxic / len(tweets))
-        toxic_tweets += toxic
-        total_tweets += len(tweets)
-        if toxic:
-            toxic_on_twitter.add(uid)
-    for uid, statuses in dataset.mastodon_timelines.items():
-        if not statuses:
-            continue
-        toxic = sum(1 for s in statuses if scorer.score(s.text) > threshold)
-        status_fracs.append(toxic / len(statuses))
-        toxic_statuses += toxic
-        total_statuses += len(statuses)
-        if toxic:
-            toxic_on_mastodon.add(uid)
-        if uid in dataset.twitter_timelines:
-            users_with_both.add(uid)
-    if not tweet_fracs and not status_fracs:
-        raise AnalysisError("no timelines to score")
-    return _build_result(
-        tweet_fracs, status_fracs, toxic_tweets, total_tweets,
-        toxic_statuses, total_statuses,
-        toxic_on_twitter, toxic_on_mastodon, users_with_both, threshold,
+    return fr.result(
+        ("toxicity_analysis", threshold),
+        lambda: _toxicity_frames(
+            fr, threshold, fr.tweet_toxicity, fr.status_toxicity
+        ),
     )
 
 
-def _toxicity_frames(fr, threshold: float) -> ToxicityResult:
+def _toxicity_frames(
+    fr, threshold: float, tweet_scores: np.ndarray, status_scores: np.ndarray
+) -> ToxicityResult:
     dataset = fr.dataset
-    tweet_scores = fr.tweet_toxicity
-    status_scores = fr.status_toxicity
     tweet_fracs: list[float] = []
     status_fracs: list[float] = []
     toxic_tweets = total_tweets = 0

@@ -67,7 +67,7 @@ class TweetCollector:
         registry = obs.current()
         collected = CollectedTweets()
         seen: set[int] = set()
-        queries = self._queries(instance_domains)
+        queries = self.build_queries(instance_domains)
         registry.counter("collection.tweet_search.queries").inc(len(queries))
         for query in queries:
             self.drain_query(query, collected, seen)
@@ -84,9 +84,6 @@ class TweetCollector:
             batch = tuple(instance_domains[start : start + DOMAIN_BATCH])
             queries.append(instance_link_query(batch, self._since, self._until))
         return queries
-
-    # Backwards-compatible private alias (tests exercise the old name).
-    _queries = build_queries
 
     def drain_query(
         self, query: SearchQuery, collected: CollectedTweets, seen: set[int]

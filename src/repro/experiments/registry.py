@@ -126,9 +126,8 @@ def run_all(
     later one reuses it.  The warm-up here just pins the shared instance so
     the sharing survives callers that copy the result list around.
     """
-    from repro.frames import frames_enabled, frames_of
+    from repro.frames import frames_of
 
-    if frames_enabled():
-        frames_of(dataset)
+    frames_of(dataset)
     registry = _load_registry(include_extensions)
     return [registry[eid](dataset) for eid in all_experiment_ids(include_extensions)]

@@ -36,9 +36,9 @@ pool (``--backend`` picks the execution backend); the collected dataset is
 byte-identical at any worker count — see :mod:`repro.parallel`.
 ``--save``/``--dataset`` paths ending in ``.npz`` use the compact binary
 dataset format (:mod:`repro.collection.binfmt`) instead of JSON; the
-figures are identical either way.  ``--no-frames`` disables the shared
-columnar analysis frames (:mod:`repro.frames`) and recomputes every figure
-with the naive per-object loops — same output, mainly for benchmarking.
+figures are identical either way.  Every figure runs on the shared
+columnar analysis frames (:mod:`repro.frames`); ``python -m tests.oracles
+DATASET`` prints the same suite from the per-object reference loops.
 
 Every behavioural knob of :class:`repro.simulation.SimConfig` is exposed
 as a ``--world-<field>`` flag (underscores become dashes, e.g.
@@ -240,10 +240,6 @@ def main(argv: list[str] | None = None) -> int:
                              "over HTTP instead of running experiments "
                              "(python -m repro.serving has the full serving "
                              "CLI, including the load generator)")
-    parser.add_argument("--no-frames", action="store_true",
-                        help="disable the columnar analysis frames and run "
-                             "every figure on the naive per-object loops "
-                             "(identical output, mainly for benchmarking)")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker count for the sharded crawl stages; the "
                              "dataset is byte-identical at any value")
@@ -331,9 +327,6 @@ def main(argv: list[str] | None = None) -> int:
 
     from contextlib import ExitStack
 
-    from repro.frames import set_frames_enabled
-
-    was_enabled = set_frames_enabled(not args.no_frames)
     try:
         with ExitStack() as stack:
             stack.enter_context(obs.use(registry))
@@ -379,7 +372,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.report:
                 print(format_report(headline_report(dataset)))
     finally:
-        set_frames_enabled(was_enabled)
         if accountant is not None:
             accountant.close()
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime as _dt
 from collections.abc import Iterator
 
+from repro.errors import FederationError, InstanceNotFoundError
 from repro.fediverse.activitypub import (
     Accept,
     Activity,
@@ -22,7 +23,6 @@ from repro.fediverse.activitypub import (
     Move,
     parse_acct,
 )
-from repro.fediverse.errors import FederationError, InstanceNotFoundError
 from repro.fediverse.instance import MastodonInstance
 from repro.fediverse.models import Account, Status
 

@@ -11,24 +11,24 @@ Memoization contract (see DESIGN.md §5):
 - Frames are cached on the dataset instance itself (``dataset._frames``)
   and assume the dataset is **not mutated** after the first analysis runs;
   mutate-then-analyze callers must call :func:`invalidate` in between.
-- Derived products are keyed by their *default* operators only: analyses
-  called with a custom encoder/scorer bypass the frames and take the naive
-  per-object path, as does ``frames=None`` (the escape hatch the
-  equivalence tests use) or a :func:`frames_disabled` scope.
+- Derived products and result-cache entries are keyed by the *default*
+  operators only: an analysis called with a custom encoder/scorer runs it
+  over the shared token tables, uncached, and neither reads nor writes
+  the default operator's entries.
 - Exactness is part of the contract: every frames-backed analysis returns
-  byte-identical results to the naive path (same floats, same ordering),
-  enforced by ``tests/frames/``.
+  byte-identical results to its per-object oracle in ``tests/oracles/``
+  (same floats, same ordering), enforced by ``tests/frames/``.
 """
 
 from __future__ import annotations
 
 import weakref
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
 from repro import obs
+from repro.collection.weekly_activity import aggregate_weeks
 from repro.errors import AnalysisError
 from repro.frames.tables import (
     EdgeTable,
@@ -119,50 +119,6 @@ def result_deps(key: tuple) -> frozenset[str] | None:
     return RESULT_DEPS.get(key[:1])
 
 
-class _Auto:
-    """Sentinel: resolve frames from the dataset (or run naive if disabled)."""
-
-    _instance: "_Auto | None" = None
-
-    def __new__(cls) -> "_Auto":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "AUTO"
-
-
-#: Default for every analysis ``frames=`` parameter: use the dataset's
-#: memoized frames unless frames are globally disabled.  Pass ``None`` to
-#: force the naive per-object loops, or an explicit :class:`DatasetFrames`.
-AUTO = _Auto()
-
-_enabled = True
-
-
-def set_frames_enabled(on: bool) -> bool:
-    """Globally enable/disable the frames fast paths; returns the old value."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(on)
-    return previous
-
-
-def frames_enabled() -> bool:
-    return _enabled
-
-
-@contextmanager
-def frames_disabled() -> Iterator[None]:
-    """Scope in which ``frames=AUTO`` resolves to the naive path."""
-    previous = set_frames_enabled(False)
-    try:
-        yield
-    finally:
-        set_frames_enabled(previous)
-
-
 class DatasetFrames:
     """Columnar tables and derived products of one ``MigrationDataset``."""
 
@@ -178,7 +134,8 @@ class DatasetFrames:
         self._result_hits = 0
         self._result_misses = 0
         self._invalidations = 0
-        # Default operators; analyses invoked with custom ones skip frames.
+        # Default operators of the cached NLP products; a custom operator
+        # runs over the token tables without touching these products.
         self._scorer = PerspectiveScorer()
         self._encoder = HashingSentenceEncoder()
 
@@ -318,45 +275,10 @@ class DatasetFrames:
     @property
     def weekly_aggregate(self) -> list[dict]:
         """Per-week totals over ``weekly_activity``, sorted by week label."""
-
-        def build() -> list[dict]:
-            weeks: list[str] = []
-            ids: dict[str, int] = {}
-            week_ids: list[int] = []
-            cols = {"statuses": [], "logins": [], "registrations": []}
-            for rows in self.dataset.weekly_activity.values():
-                for row in rows:
-                    week = row["week"]
-                    wid = ids.get(week)
-                    if wid is None:
-                        wid = len(weeks)
-                        ids[week] = wid
-                        weeks.append(week)
-                    week_ids.append(wid)
-                    for key, col in cols.items():
-                        col.append(row[key])
-            if not weeks:
-                return []
-            idx = np.asarray(week_ids, dtype=np.int64)
-            totals = {
-                key: np.bincount(
-                    idx,
-                    weights=np.asarray(col, dtype=np.int64),
-                    minlength=len(weeks),
-                )
-                for key, col in cols.items()
-            }
-            return [
-                {
-                    "week": week,
-                    "statuses": int(totals["statuses"][ids[week]]),
-                    "logins": int(totals["logins"][ids[week]]),
-                    "registrations": int(totals["registrations"][ids[week]]),
-                }
-                for week in sorted(weeks)
-            ]
-
-        return self._product("weekly_aggregate", build)
+        return self._product(
+            "weekly_aggregate",
+            lambda: aggregate_weeks(self.dataset.weekly_activity),
+        )
 
     # -- derived NLP products --------------------------------------------------
 
@@ -666,16 +588,3 @@ def frames_of(dataset) -> DatasetFrames:
 def invalidate(dataset) -> None:
     """Drop the dataset's cached frames (call after mutating it)."""
     dataset.__dict__.pop("_frames", None)
-
-
-def resolve_frames(dataset, frames) -> DatasetFrames | None:
-    """Resolve an analysis ``frames=`` argument.
-
-    ``AUTO`` → the dataset's memoized frames (or ``None`` when globally
-    disabled); ``None`` → naive path; a ``DatasetFrames`` → itself.
-    """
-    if frames is None:
-        return None
-    if isinstance(frames, _Auto):
-        return frames_of(dataset) if _enabled else None
-    return frames

@@ -3,9 +3,9 @@
 Each table flattens one nested-object corner of the dataset into numpy
 columns plus small Python-side vocabularies (string interning).  Builders
 preserve **iteration order** exactly: per-user post rows appear in the
-order the naive analysis loops visit them (dict insertion order, list
-order within a timeline), so any frames-backed analysis that walks a
-table reproduces the naive path's accumulation order bit for bit.
+order the per-object loops visit them (dict insertion order, list order
+within a timeline), so any frames-backed analysis that walks a table
+reproduces its per-object oracle's accumulation order bit for bit.
 
 A dataset reloaded from ``.npz`` keeps its timelines as archive columns
 (:class:`~repro.collection.binfmt.ColumnTimelines`); its timeline tables
@@ -79,7 +79,7 @@ class TimelineTable:
     ``source`` / status ``application``); ``flags`` holds ``is_retweet``
     / ``is_boost``.  Hashtag occurrences are a postings list — one
     ``(tag_rows[j], tag_ids[j])`` pair per occurrence, duplicates kept,
-    exactly as the naive per-post loops count them.  Status tables also
+    exactly as per-post loops count them.  Status tables also
     intern each row's posting account (``account_acct``) in ``acct_ids``;
     tweet tables leave both acct fields None.
     """
@@ -673,7 +673,7 @@ def iso_day_strings(day_ordinals: np.ndarray) -> list[str]:
 def ordinal_counts(day_ordinals: np.ndarray) -> list[tuple[_dt.date, int]]:
     """Sorted ``(date, count)`` pairs over a day-ordinal column.
 
-    Matches ``sorted(Counter(dates).items())`` from the naive loops: counts
+    Matches ``sorted(Counter(dates).items())`` over the posts: counts
     are exact integers and days with zero posts are omitted.
     """
     if day_ordinals.size == 0:
@@ -685,3 +685,11 @@ def ordinal_counts(day_ordinals: np.ndarray) -> list[tuple[_dt.date, int]]:
         for i, c in enumerate(counts)
         if c
     ]
+
+
+def tag_counts(table: TimelineTable) -> dict[str, int]:
+    """Occurrence counts per normalized tag from a timeline table's postings."""
+    if table.tag_ids.size == 0:
+        return {}
+    counts = np.bincount(table.tag_ids, minlength=len(table.tags))
+    return {tag: int(counts[i]) for i, tag in enumerate(table.tags) if counts[i]}

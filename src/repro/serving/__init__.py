@@ -14,8 +14,9 @@ Modules:
   plus its ASGI adapter and the two cache tiers;
 - :mod:`repro.serving.routes` — route table and the canonical query-
   parameter normalization the caches key on;
-- :mod:`repro.serving.views` — columnar fast paths and their naive
-  twins (byte-identical payloads, enforced by tests);
+- :mod:`repro.serving.views` — the columnar read models behind every
+  endpoint (byte-identical to the per-object reference in
+  ``tests/oracles/``, enforced by tests);
 - :mod:`repro.serving.cache` — result cache + rendered-payload LRU;
 - :mod:`repro.serving.loadgen` — the seed-deterministic Zipf/burst load
   generator and closed/open-loop replay harnesses;
@@ -39,7 +40,7 @@ from repro.serving.loadgen import (
     trace_bytes,
 )
 from repro.serving.routes import ENDPOINTS, RequestError
-from repro.serving.views import ColumnarViews, NaiveViews
+from repro.serving.views import ColumnarViews
 
 __all__ = [
     "ServingApp",
@@ -58,5 +59,4 @@ __all__ = [
     "ENDPOINTS",
     "RequestError",
     "ColumnarViews",
-    "NaiveViews",
 ]

@@ -37,7 +37,7 @@ from repro.serving.routes import (
     parse_query_string,
     resolve,
 )
-from repro.serving.views import ColumnarViews, NaiveViews
+from repro.serving.views import ColumnarViews
 
 #: Default capacity of the rendered-payload LRU.
 DEFAULT_PAYLOAD_CAPACITY = 2048
@@ -89,13 +89,11 @@ class ServingApp:
         self,
         dataset,
         *,
-        columnar: bool = True,
         caches: bool = True,
         payload_capacity: int = DEFAULT_PAYLOAD_CAPACITY,
     ) -> None:
         self.dataset = dataset
-        self.columnar = columnar
-        self.views = ColumnarViews(dataset) if columnar else NaiveViews(dataset)
+        self.views = ColumnarViews(dataset)
         self.caches_enabled = caches
         self.result_cache = ResultCache()
         self.payload_cache = PayloadLru(payload_capacity)
@@ -106,10 +104,9 @@ class ServingApp:
     # -- lifecycle -------------------------------------------------------------
 
     def warm(self) -> dict[str, float]:
-        """Build every columnar read model now (no-op for the naive app)."""
-        if isinstance(self.views, ColumnarViews):
-            with obs.current().span("serving.warm"):
-                self.warm_seconds = self.views.warm()
+        """Build every columnar read model now."""
+        with obs.current().span("serving.warm"):
+            self.warm_seconds = self.views.warm()
         return self.warm_seconds
 
     def swap_dataset(self, dataset, delta=None) -> dict:
@@ -127,14 +124,12 @@ class ServingApp:
         with obs.current().span("serving.swap") as span:
             old_dataset = self.dataset
             self.dataset = dataset
-            if delta is None or not self.columnar:
+            if delta is None:
                 result_evicted = len(self.result_cache)
                 payload_evicted = len(self.payload_cache)
                 self.result_cache.clear()
                 self.payload_cache.clear()
-                self.views = (
-                    ColumnarViews(dataset) if self.columnar else NaiveViews(dataset)
-                )
+                self.views = ColumnarViews(dataset)
                 out = {
                     "mode": "full",
                     "result_evicted": result_evicted,
@@ -237,7 +232,6 @@ class ServingApp:
             "endpoint": "metrics",
             "requests": self.request_count,
             "errors": self.error_count,
-            "columnar": self.columnar,
             "caches": self.cache_stats(),
         }
         registry = obs.current()
@@ -266,11 +260,10 @@ class ServingApp:
                 **self.payload_cache.stats.to_dict(),
             },
         }
-        if isinstance(self.views, ColumnarViews):
-            out["frames_results"] = self.views.frames.cache_stats()
-            corpus = self.views._models.get("tweet_search")
-            if corpus is not None:
-                out["index"] = corpus.index.stats
+        out["frames_results"] = self.views.frames.cache_stats()
+        corpus = self.views._models.get("tweet_search")
+        if corpus is not None:
+            out["index"] = corpus.index.stats
         return out
 
     # -- ASGI ------------------------------------------------------------------

@@ -39,6 +39,7 @@ from urllib.parse import urlencode
 import numpy as np
 
 from repro import obs
+from repro.frames import frames_of, tag_counts
 from repro.obs.metrics import Histogram
 from repro.serving.routes import ENDPOINTS
 from repro.twitter.search import MIGRATION_KEYWORDS
@@ -50,7 +51,6 @@ from repro.util.clock import (
     ULTIMATUM_DATE,
 )
 from repro.util.distributions import zipf_weights
-from repro.util.text import normalize_hashtag
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,19 @@ class WorkloadInventory:
 
     @classmethod
     def from_dataset(cls, dataset) -> "WorkloadInventory":
-        def ranked_uids(timelines: dict[int, list]) -> list[int]:
+        """Rankings read off the dataset's frames tables and key indexes.
+
+        Timeline sizes come from the tables' row bounds and status hashtags
+        from their postings, so an ``.npz`` reload builds no post here.
+        """
+        frames = frames_of(dataset)
+
+        def ranked_uids(table) -> list[int]:
+            sizes = np.diff(table.bounds).tolist()
             return [
                 uid
                 for uid, _ in sorted(
-                    ((uid, len(posts)) for uid, posts in timelines.items()),
-                    key=lambda kv: (-kv[1], kv[0]),
+                    zip(table.uids, sizes), key=lambda kv: (-kv[1], kv[0])
                 )
             ]
 
@@ -176,23 +183,15 @@ class WorkloadInventory:
                 )
             ]
 
-        tag_counts: dict[str, int] = {}
+        collected_tag_counts: dict[str, int] = {}
         for tweet in dataset.collected_tweets:
             for tag in tweet.tags_normalized:
-                tag_counts[tag] = tag_counts.get(tag, 0) + 1
-        status_tag_counts: dict[str, int] = {}
-        for statuses in dataset.mastodon_timelines.values():
-            for status in statuses:
-                for tag in status.hashtags:
-                    normalized = normalize_hashtag(tag)
-                    status_tag_counts[normalized] = (
-                        status_tag_counts.get(normalized, 0) + 1
-                    )
+                collected_tag_counts[tag] = collected_tag_counts.get(tag, 0) + 1
         return cls(
-            twitter_uids=ranked_uids(dataset.twitter_timelines),
-            mastodon_uids=ranked_uids(dataset.mastodon_timelines),
-            hashtags=ranked_counts(tag_counts),
-            status_hashtags=ranked_counts(status_tag_counts),
+            twitter_uids=ranked_uids(frames.tweet_table),
+            mastodon_uids=ranked_uids(frames.status_table),
+            hashtags=ranked_counts(collected_tag_counts),
+            status_hashtags=ranked_counts(tag_counts(frames.status_table)),
             domains=ranked_counts(dataset.instance_populations()),
             phrases=list(MIGRATION_KEYWORDS),
             trend_terms=sorted(dataset.trends),

@@ -1,6 +1,6 @@
-"""Endpoint implementations: columnar fast paths and their naive twins.
+"""Endpoint implementations: the columnar read models behind every route.
 
-:class:`ColumnarViews` is the serving hot path.  All per-request reads
+:class:`ColumnarViews` is the serving path.  All per-request reads
 come off flat columns prepared once at warmup — the frames timeline
 tables (per-account CSR offsets via ``frames.timeline_offsets``), a
 search-column block over the §3.1 collected corpus backed by a
@@ -8,16 +8,14 @@ search-column block over the §3.1 collected corpus backed by a
 status table, and a ranked instance directory.  No ``Tweet`` or
 ``Status`` object is touched while answering a request.
 
-:class:`NaiveViews` is the un-cached reference: it answers every request
-by looping over the dataset's Python objects, exactly like the naive
-analysis paths the frames equivalence tests diff against.  The contract
-(enforced by ``tests/serving/test_equivalence.py``) is byte-identical
-JSON payloads from both classes for every endpoint and parameter set —
-which is what makes the serving caches safe: a cache key is the
-normalized request, and both implementations are deterministic functions
-of it.
+Its contract (enforced by ``tests/serving/test_equivalence.py``) is
+byte-identical JSON payloads, for every endpoint and parameter set, to
+the per-object reference views in ``tests/oracles/serving.py``, which
+loop over the dataset's Python objects — which is what makes the serving
+caches safe: a cache key is the normalized request, and the views are a
+deterministic function of it.
 
-Ordering rules both sides implement:
+Ordering rules both implement:
 
 - tweet search results ascend by tweet id (the index's candidate order);
 - status search results follow status-table row order, i.e. dataset dict
@@ -37,7 +35,6 @@ from repro.frames.tables import TimelineTable, iso_day_strings
 from repro.serving.routes import RequestError
 from repro.twitter.index import TweetIndex
 from repro.twitter.search import SearchQuery
-from repro.util.text import normalize_hashtag
 
 #: Window sentinel ordinals (no date in the corpora falls outside these).
 _ORD_MIN = 0
@@ -80,7 +77,7 @@ def _paginate(positions: Iterator[int], limit: int, offset: int) -> tuple[int, l
     return total, page
 
 
-# -- payload shapes (shared by both implementations) ---------------------------
+# -- payload shapes (shared with the test oracle) ------------------------------
 
 
 def _search_payload(normalized: dict, total: int, rows: list[dict]) -> dict:
@@ -448,115 +445,6 @@ class ColumnarViews:
     def instance(self, normalized: dict) -> dict:
         domain = normalized["domain"]
         users = self.frames.instance_populations.get(domain)
-        weekly = self.dataset.weekly_activity.get(domain)
-        if users is None and weekly is None:
-            raise RequestError(404, f"unknown instance: {domain}")
-        return _instance_payload(domain, users or 0, weekly or [])
-
-
-class NaiveViews:
-    """The un-cached reference: per-object loops, no frames, no index."""
-
-    def __init__(self, dataset) -> None:
-        self.dataset = dataset
-
-    def compute(self, endpoint: str, normalized: dict) -> dict:
-        if endpoint == "search":
-            return self.search(normalized)
-        if endpoint == "timeline":
-            return self.timeline(normalized)
-        if endpoint == "instances":
-            return self.instances(normalized)
-        if endpoint == "instance":
-            return self.instance(normalized)
-        if endpoint == "trends":
-            return _trends_payload(self.dataset.trends, normalized)
-        raise RequestError(404, f"no handler for endpoint {endpoint!r}")
-
-    def search(self, normalized: dict) -> dict:
-        if normalized["platform"] == "twitter":
-            query = build_search_query(normalized)
-            matched = [
-                t for t in self.dataset.collected_tweets if query.matches(t)
-            ]
-            matched.sort(key=lambda t: t.tweet_id)
-            offset, limit = normalized["offset"], normalized["limit"]
-            rows = [
-                {
-                    "id": t.tweet_id,
-                    "author_id": t.author_id,
-                    "day": t.created_date.isoformat(),
-                    "text": t.text,
-                    "source": t.source,
-                    "is_retweet": t.is_retweet,
-                }
-                for t in matched[offset : offset + limit]
-            ]
-            return _search_payload(normalized, len(matched), rows)
-        kind, term = normalized["kind"], normalized["term"]
-        lo, hi = _window_ordinals(normalized)
-        matched: list[tuple[int, object]] = []
-        for uid, statuses in self.dataset.mastodon_timelines.items():
-            for status in statuses:
-                if not lo <= status.created_date.toordinal() <= hi:
-                    continue
-                if kind == "hashtag":
-                    if not any(
-                        normalize_hashtag(t) == term for t in status.hashtags
-                    ):
-                        continue
-                elif term not in status.text.lower():
-                    continue
-                matched.append((uid, status))
-        offset, limit = normalized["offset"], normalized["limit"]
-        rows = [
-            {
-                "uid": uid,
-                "day": status.created_date.isoformat(),
-                "text": status.text,
-                "application": status.application,
-                "is_boost": status.is_boost,
-            }
-            for uid, status in matched[offset : offset + limit]
-        ]
-        return _search_payload(normalized, len(matched), rows)
-
-    def timeline(self, normalized: dict) -> dict:
-        platform, uid = normalized["platform"], normalized["uid"]
-        if platform == "twitter":
-            posts = self.dataset.twitter_timelines.get(uid)
-            label_key, flag_key = "source", "is_retweet"
-        else:
-            posts = self.dataset.mastodon_timelines.get(uid)
-            label_key, flag_key = "application", "is_boost"
-        if posts is None:
-            raise RequestError(404, f"uid {uid} has no {platform} timeline")
-        lo, hi = _window_ordinals(normalized)
-        windowed = [p for p in posts if lo <= p.created_date.toordinal() <= hi]
-        offset, limit = normalized["offset"], normalized["limit"]
-        rows = [
-            {
-                "day": post.created_date.isoformat(),
-                "text": post.text,
-                label_key: getattr(post, label_key),
-                flag_key: getattr(post, flag_key),
-            }
-            for post in windowed[offset : offset + limit]
-        ]
-        return _timeline_payload(normalized, len(windowed), rows)
-
-    def instances(self, normalized: dict) -> dict:
-        ranked = _rank_instances(self.dataset.instance_populations())
-        offset, limit = normalized["offset"], normalized["limit"]
-        rows = [
-            {"domain": domain, "users": users}
-            for domain, users in ranked[offset : offset + limit]
-        ]
-        return _instances_payload(normalized, len(ranked), rows)
-
-    def instance(self, normalized: dict) -> dict:
-        domain = normalized["domain"]
-        users = self.dataset.instance_populations().get(domain)
         weekly = self.dataset.weekly_activity.get(domain)
         if users is None and weekly is None:
             raise RequestError(404, f"unknown instance: {domain}")

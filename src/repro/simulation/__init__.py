@@ -9,12 +9,9 @@ Entry point::
 
     from repro.simulation import SimConfig, build_world
     world = build_world(SimConfig(seed=7, scale=0.01))
-
-``build_world(seed=7, scale=0.01)`` (legacy keyword overrides) still works
-behind a deprecation shim and produces a byte-identical world.
 """
 
-from repro.simulation.config import SimConfig, WorldConfig, field_docs
+from repro.simulation.config import SimConfig, field_docs
 from repro.simulation.contagion import ContagionModel
 from repro.simulation.events import EventTimeline
 from repro.simulation.instance_choice import InstanceChooser
@@ -28,7 +25,6 @@ from repro.simulation.world import World, build_world
 __all__ = [
     # configuration
     "SimConfig",
-    "WorldConfig",
     "field_docs",
     # world construction
     "World",

@@ -252,9 +252,6 @@ class SimConfig:
             raise ConfigError("posting rates must be non-negative")
 
 
-#: Deprecated alias for :class:`SimConfig` (the pre-redesign name).
-WorldConfig = SimConfig
-
 _FIELD_DOC_CACHE: dict[str, str] | None = None
 
 

@@ -19,7 +19,7 @@ import datetime as _dt
 
 import numpy as np
 
-from repro.simulation.config import WorldConfig
+from repro.simulation.config import SimConfig
 from repro.simulation.events import EventTimeline
 from repro.simulation.population import SimUser
 from repro.twitter.graph import FollowGraph
@@ -31,7 +31,7 @@ class ContagionModel:
 
     def __init__(
         self,
-        config: WorldConfig,
+        config: SimConfig,
         timeline: EventTimeline,
         graph: FollowGraph,
         rng: np.random.Generator,

@@ -23,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro.simulation.config import WorldConfig
+from repro.simulation.config import SimConfig
 from repro.simulation.population import InstanceSpec, SimUser
 
 
@@ -32,7 +32,7 @@ class InstanceChooser:
 
     def __init__(
         self,
-        config: WorldConfig,
+        config: SimConfig,
         specs: list[InstanceSpec],
         rng: np.random.Generator,
     ) -> None:

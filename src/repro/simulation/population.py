@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.fediverse.network import FediverseNetwork
 from repro.nlp.vocabulary import TOPICS
-from repro.simulation.config import WorldConfig
+from repro.simulation.config import SimConfig
 from repro.twitter.clients import OFFICIAL_SOURCES, THIRD_PARTY_SOURCES
 from repro.twitter.graph import FollowGraph
 from repro.twitter.models import TwitterUser
@@ -145,7 +145,7 @@ _SYNTH_TLDS = ("social", "online", "club", "city", "community", "network", "zone
 _INSTANCE_TOPICS = tuple(t.name for t in TOPICS if t.name != "fediverse") + ("general",)
 
 
-def generate_instances(config: WorldConfig, rng: np.random.Generator) -> list[InstanceSpec]:
+def generate_instances(config: SimConfig, rng: np.random.Generator) -> list[InstanceSpec]:
     """The instance directory: named flagships plus a synthetic long tail."""
     n = config.n_directory_instances
     weights = zipf_weights(n, config.instance_zipf_exponent)
@@ -206,7 +206,7 @@ def _username(rng: np.random.Generator, index: int) -> str:
     return f"{stem}_{index}"
 
 
-def _account_created(rng: np.random.Generator, config: WorldConfig) -> _dt.datetime:
+def _account_created(rng: np.random.Generator, config: SimConfig) -> _dt.datetime:
     """Twitter account creation date; median age matches the paper's 11.5y."""
     age_years = float(
         np.clip(rng.lognormal(np.log(config.median_account_age_years), 0.45), 0.2, 16.0)
@@ -232,7 +232,7 @@ _SOURCE_WEIGHTS = zipf_weights(len(_SOURCE_POOL), 1.15)
 class PopulationBuilder:
     """Builds the Twitter population and agents for one world."""
 
-    def __init__(self, config: WorldConfig, rng: np.random.Generator) -> None:
+    def __init__(self, config: SimConfig, rng: np.random.Generator) -> None:
         self._config = config
         self._rng = rng
         self._ids = SnowflakeGenerator(shard=1)

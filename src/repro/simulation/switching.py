@@ -21,7 +21,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro.simulation.config import WorldConfig
+from repro.simulation.config import SimConfig
 from repro.simulation.population import SimUser
 
 
@@ -30,7 +30,7 @@ class SwitchModel:
 
     def __init__(
         self,
-        config: WorldConfig,
+        config: SimConfig,
         flagship_domains: frozenset[str],
         rng: np.random.Generator,
     ) -> None:

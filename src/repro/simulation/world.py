@@ -29,7 +29,6 @@ from __future__ import annotations
 import datetime as _dt
 import gc
 import time
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -37,7 +36,7 @@ import numpy as np
 from repro.fediverse.directory import InstanceDirectory
 from repro.fediverse.network import FediverseNetwork
 from repro.nlp.generator import PostGenerator
-from repro.simulation.config import SimConfig, WorldConfig
+from repro.simulation.config import SimConfig
 from repro.simulation.contagion import ContagionModel
 from repro.simulation.events import EventTimeline
 from repro.simulation.instance_choice import InstanceChooser
@@ -687,50 +686,23 @@ class World:
             downed_users += populations[domain]
 
 
-_LEGACY_KWARGS_WARNED = False
-
-
 def build_world(
-    config: SimConfig | None = None,
+    config: SimConfig,
     *,
     workers: int = 1,
     backend: str = "serial",
     shard_count: int | None = None,
-    **legacy,
 ) -> World:
-    """Build and simulate a world in one call.
-
-    The supported form takes a validated :class:`SimConfig`::
+    """Build and simulate a world in one call::
 
         build_world(SimConfig(seed=1, scale=0.005, contagion_weight=0.0))
 
     ``workers``/``backend`` configure the sharded materialisation planner;
     the dataset is byte-identical for any setting.
-
-    The legacy keyword form — ``build_world(seed=1, scale=0.005, ...)`` —
-    still works: the kwargs are mapped onto a :class:`SimConfig`
-    field-for-field (one :class:`DeprecationWarning` per process).  Both
-    call forms produce byte-identical datasets, which
-    ``tests/simulation/test_simconfig_api.py`` pins.
     """
     from repro import obs
 
-    global _LEGACY_KWARGS_WARNED
-    if config is not None and legacy:
-        raise TypeError(
-            "pass either a SimConfig or legacy keyword overrides, not both"
-        )
-    if config is None:
-        if legacy and not _LEGACY_KWARGS_WARNED:
-            warnings.warn(
-                "build_world(seed=..., scale=..., **overrides) is deprecated; "
-                "pass build_world(SimConfig(...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            _LEGACY_KWARGS_WARNED = True
-        config = SimConfig(**legacy)
-    elif not isinstance(config, WorldConfig):
+    if not isinstance(config, SimConfig):
         raise TypeError(
             f"build_world expects a SimConfig, got {type(config).__name__}"
         )

@@ -12,15 +12,15 @@ The substrate mirrors the surface area the paper's collection pipeline used:
   10% followee subsample.
 """
 
-from repro.twitter.api import TwitterAPI
-from repro.twitter.clients import CROSSPOSTER_SOURCES, OFFICIAL_SOURCES, TweetSource
-from repro.twitter.errors import (
+from repro.errors import (
     NotFoundError,
     ProtectedAccountError,
     RateLimitExceeded,
     SuspendedAccountError,
     TwitterError,
 )
+from repro.twitter.api import TwitterAPI
+from repro.twitter.clients import CROSSPOSTER_SOURCES, OFFICIAL_SOURCES, TweetSource
 from repro.twitter.graph import FollowGraph
 from repro.twitter.models import AccountState, Tweet, TwitterUser
 from repro.twitter.ratelimit import RateLimiter

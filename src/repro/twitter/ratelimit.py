@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro import obs
-from repro.twitter.errors import RateLimitExceeded
+from repro.errors import RateLimitExceeded
 
 
 @dataclass

@@ -6,7 +6,7 @@ import bisect
 import datetime as _dt
 from collections.abc import Iterable, Iterator
 
-from repro.twitter.errors import NotFoundError
+from repro.errors import NotFoundError
 from repro.twitter.index import TweetIndex
 from repro.twitter.models import Tweet, TwitterUser
 

@@ -7,9 +7,9 @@ import pytest
 from repro.analysis.retention import retention
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
-from repro.frames import frames_disabled
 from repro.util.clock import SIM_END
 from tests.conftest import make_status, make_tweet
+from tests.oracles import analysis as oracle
 
 FINAL = SIM_END - dt.timedelta(days=2)  # inside the final week
 EARLY = dt.date(2022, 11, 2)  # outside it
@@ -32,8 +32,10 @@ def dataset(tiny_dataset):
 
 
 class TestRetention:
+    retention = staticmethod(retention)
+
     def test_classification(self, dataset):
-        result = retention(dataset)
+        result = self.retention(dataset)
         assert result.user_count == 5
         assert result.pct_retained == pytest.approx(20.0)  # alice
         assert result.pct_dual == pytest.approx(20.0)  # alice tweets too
@@ -42,7 +44,7 @@ class TestRetention:
         assert result.pct_never_engaged == pytest.approx(40.0)  # dave, erin
 
     def test_shares_sum_to_hundred(self, dataset):
-        result = retention(dataset)
+        result = self.retention(dataset)
         total = (
             result.pct_retained
             + result.pct_returned
@@ -52,30 +54,27 @@ class TestRetention:
         assert total == pytest.approx(100.0)
 
     def test_dual_is_subset_of_retained(self, dataset):
-        result = retention(dataset)
+        result = self.retention(dataset)
         assert result.pct_dual <= result.pct_retained
 
     def test_days_active_cdf(self, dataset):
-        result = retention(dataset)
+        result = self.retention(dataset)
         assert result.days_active_cdf.evaluate(0) == pytest.approx(0.4)
 
     def test_final_window_validation(self, dataset):
         with pytest.raises(AnalysisError):
-            retention(dataset, final_days=0)
+            self.retention(dataset, final_days=0)
 
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):
-            retention(MigrationDataset())
+            self.retention(MigrationDataset())
 
 
 class TestRetentionNaive(TestRetention):
-    """The same hand-built edge cases on the naive path, which reads post
-    objects where the default frames path reads timeline tables."""
+    """The same hand-built edge cases on the per-object oracle, which reads
+    post objects where production reads timeline tables."""
 
-    @pytest.fixture(autouse=True)
-    def _naive(self):
-        with frames_disabled():
-            yield
+    retention = staticmethod(oracle.retention)
 
 
 class TestOnSimulatedData:

@@ -9,8 +9,10 @@ from repro.analysis.sensitivity import (
     similarity_sweep,
     toxicity_sweep,
 )
+from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
 from tests.conftest import make_status, make_tweet
+from tests.oracles import oracles_installed
 
 DAY = dt.date(2022, 11, 5)
 
@@ -79,3 +81,16 @@ class TestOrderingRobust:
         """The paper's Twitter>Mastodon ordering is threshold-robust."""
         rows = toxicity_sweep(small_dataset)
         assert ordering_robust(rows)
+
+
+@pytest.mark.parametrize("sweep", [similarity_sweep, toxicity_sweep])
+def test_sweep_on_a_reload_builds_no_post(sweep, small_dataset, small_npz):
+    """With the default operators every threshold reads the frames' cached
+    products, so a reload builds no post, and the rows equal the per-object
+    oracle's."""
+    reloaded = MigrationDataset.load(small_npz)
+    rows = sweep(reloaded)
+    for timelines in (reloaded.twitter_timelines, reloaded.mastodon_timelines):
+        assert timelines.built_count == 0
+    with oracles_installed():
+        assert rows == sweep(small_dataset)

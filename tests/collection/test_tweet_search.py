@@ -91,7 +91,7 @@ class TestCollect:
     def test_domain_batching(self, api):
         collector = TweetCollector(api, since=WINDOW_START, until=WINDOW_END)
         domains = [f"host{i}.social" for i in range(DOMAIN_BATCH * 2 + 1)]
-        queries = collector._queries(domains)
+        queries = collector.build_queries(domains)
         # 1 keyword query + 3 link batches
         assert len(queries) == 4
         assert len(queries[1].url_domains) == DOMAIN_BATCH

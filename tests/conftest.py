@@ -12,8 +12,10 @@ Two tiers of test data:
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as _dt
 
+import numpy as np
 import pytest
 
 from repro.collection.dataset import (
@@ -43,6 +45,14 @@ def small_world() -> World:
 def small_dataset(small_world: World) -> MigrationDataset:
     """The §3 collection pipeline run against ``small_world``."""
     return collect_dataset(small_world)
+
+
+@pytest.fixture(scope="session")
+def small_npz(small_dataset, tmp_path_factory):
+    """``small_dataset`` saved in the binary format (reload it per test)."""
+    path = tmp_path_factory.mktemp("reload") / "small.npz"
+    small_dataset.save(path)
+    return path
 
 
 def make_tweet(
@@ -170,3 +180,34 @@ def tiny_dataset() -> MigrationDataset:
     ds.twitter_coverage = CrawlCoverage(ok=5)
     ds.mastodon_coverage = CrawlCoverage(ok=5)
     return ds
+
+
+def deep_eq(a, b) -> bool:
+    """Structural equality: arrays by dtype, shape and values, dataclasses
+    and containers field by field (list/tuple types must match)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and a.shape == b.shape
+            and np.array_equal(a, b)
+        )
+    if dataclasses.is_dataclass(a) and not isinstance(a, type):
+        return type(a) is type(b) and all(
+            deep_eq(getattr(a, f.name), getattr(b, f.name))
+            for f in dataclasses.fields(a)
+        )
+    if isinstance(a, dict):
+        return (
+            isinstance(b, dict)
+            and a.keys() == b.keys()
+            and all(deep_eq(a[k], b[k]) for k in a)
+        )
+    if isinstance(a, (list, tuple)):
+        return (
+            type(a) is type(b)
+            and len(a) == len(b)
+            and all(deep_eq(x, y) for x, y in zip(a, b))
+        )
+    return a == b

@@ -4,12 +4,12 @@ import datetime as dt
 
 import pytest
 
-from repro.fediverse.api import MastodonClient
-from repro.fediverse.errors import (
+from repro.errors import (
     AccountNotFoundError,
     InstanceDownError,
     InstanceNotFoundError,
 )
+from repro.fediverse.api import MastodonClient
 from repro.fediverse.network import FediverseNetwork
 
 WHEN = dt.datetime(2022, 10, 28, 12, 0)

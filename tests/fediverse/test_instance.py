@@ -4,7 +4,7 @@ import datetime as dt
 
 import pytest
 
-from repro.fediverse.errors import AccountNotFoundError, DuplicateAccountError
+from repro.errors import AccountNotFoundError, DuplicateAccountError
 from repro.fediverse.instance import MastodonInstance
 from repro.fediverse.models import Status
 

@@ -4,8 +4,8 @@ import datetime as dt
 
 import pytest
 
+from repro.errors import FederationError, InstanceNotFoundError
 from repro.fediverse.activitypub import Accept, Create, Follow, Move
-from repro.fediverse.errors import FederationError, InstanceNotFoundError
 from repro.fediverse.network import FediverseNetwork
 
 WHEN = dt.datetime(2022, 10, 28, 12, 0)

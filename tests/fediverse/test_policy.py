@@ -4,7 +4,7 @@ import datetime as dt
 
 import pytest
 
-from repro.fediverse.errors import FederationError
+from repro.errors import FederationError
 from repro.fediverse.models import Status
 from repro.fediverse.network import FediverseNetwork
 from repro.fediverse.policy import ContentPolicy

@@ -1,11 +1,12 @@
-"""Frames-vs-naive equivalence: the tentpole's central contract.
+"""Frames-vs-oracle equivalence: the frames path's central contract.
 
 Every experiment must render *byte-identical* output whether it runs on
-the memoized columnar frames (:mod:`repro.frames`) or on the original
-per-object loops.  The naive path stays reachable two ways — the global
-``frames_disabled()`` switch and the per-call ``frames=None`` escape
-hatch — and both are pinned here against the frames output on the shared
-simulated dataset.
+the memoized columnar frames (:mod:`repro.frames`, the one production
+path) or on the per-object loops they replaced, kept as oracles in
+``tests/oracles/``.  The figure suite and the report are compared with
+the oracles installed, every frames-backed analysis is compared with its
+oracle result by result, and a custom encoder or scorer is held to the
+oracle run with the same operator.
 
 A dataset reloaded from ``.npz`` keeps its timelines as archive columns
 (:class:`~repro.collection.binfmt.ColumnTimelines`) and the frames build
@@ -26,11 +27,26 @@ from repro.collection.binfmt import ColumnTimelines
 from repro.collection.dataset import MigrationDataset
 from repro.experiments.registry import all_experiment_ids, get_experiment
 from repro.fediverse.models import Status
-from repro.frames import build_timeline_table, frames_disabled, frames_of, invalidate
+from repro.frames import build_timeline_table, frames_of, invalidate
+from repro.nlp.embeddings import HashingSentenceEncoder
+from repro.nlp.toxicity import PerspectiveScorer
 from repro.twitter.models import Tweet
-from tests.conftest import make_status, make_tweet
+from tests.conftest import deep_eq, make_status, make_tweet
+from tests.oracles import oracles_installed, twins
 
 ALL_IDS = all_experiment_ids(include_extensions=True)
+
+#: Oracle name -> (production function, oracle function).
+TWINS = {oracle.__name__: (twin, oracle) for twin, oracle in twins().items()}
+
+#: Operators other than the frames' defaults: a narrower embedding and a
+#: lexicon that flags common migration words, so the thresholds bite.
+CUSTOM_SCORER = PerspectiveScorer({"twitter": 0.6, "mastodon": 0.55, "the": 0.3})
+CUSTOM_OPERATORS = {
+    "content_similarity": {"encoder": HashingSentenceEncoder(dim=64)},
+    "toxicity_analysis": {"scorer": CUSTOM_SCORER},
+    "moderation_load": {"scorer": CUSTOM_SCORER},
+}
 
 
 def suite_outputs(dataset) -> dict[str, str]:
@@ -51,24 +67,17 @@ def frames_outputs(small_dataset) -> dict[str, str]:
 
 @pytest.fixture(scope="module")
 def naive_outputs(small_dataset) -> dict[str, str]:
-    """The same outputs with frames globally disabled."""
-    with frames_disabled():
+    """The same outputs with every analysis on its oracle."""
+    with oracles_installed():
         return suite_outputs(small_dataset)
 
 
-@pytest.fixture(scope="module")
-def npz_path(small_dataset, tmp_path_factory):
-    path = tmp_path_factory.mktemp("reload") / "small.npz"
-    small_dataset.save(path)
-    return path
-
-
 @pytest.fixture(scope="module", params=["frames", "naive"])
-def reloaded_outputs(request, npz_path) -> dict[str, str]:
-    """Suite outputs on a fresh ``.npz`` reload, on frames or naive."""
-    dataset = MigrationDataset.load(npz_path)
+def reloaded_outputs(request, small_npz) -> dict[str, str]:
+    """Suite outputs on a fresh ``.npz`` reload, on frames or the oracles."""
+    dataset = MigrationDataset.load(small_npz)
     if request.param == "naive":
-        with frames_disabled():
+        with oracles_installed():
             return suite_outputs(dataset)
     return suite_outputs(dataset)
 
@@ -82,24 +91,22 @@ def test_report_identical(frames_outputs, naive_outputs):
     assert frames_outputs["report"] == naive_outputs["report"]
 
 
-def test_frames_none_escape_hatch(small_dataset, frames_outputs):
-    """``frames=None`` forces the naive loops even with frames enabled."""
-    from repro.analysis.activity import daily_volume
-    from repro.analysis.hashtags import top_hashtags
-    from repro.analysis.sources import top_sources
-    from repro.analysis.toxicity import toxicity_analysis
+def test_oracles_build_no_frames(small_npz):
+    """The oracle suite reads post objects, never a frames product or
+    result, so the comparisons above are between two paths."""
+    dataset = MigrationDataset.load(small_npz)
+    with oracles_installed():
+        suite_outputs(dataset)
+    frames = frames_of(dataset)
+    assert frames.build_stats() == {}
+    assert frames.cache_stats()["entries"] == 0
+    assert dataset.mastodon_timelines.built_count > 0
 
-    assert daily_volume(small_dataset, frames=None) == daily_volume(small_dataset)
-    assert top_hashtags(small_dataset, frames=None) == top_hashtags(small_dataset)
-    assert top_sources(small_dataset, frames=None) == top_sources(small_dataset)
-    naive_tox = toxicity_analysis(small_dataset, frames=None)
-    framed_tox = toxicity_analysis(small_dataset)
-    assert naive_tox.pct_tweets_toxic == framed_tox.pct_tweets_toxic
-    assert naive_tox.pct_statuses_toxic == framed_tox.pct_statuses_toxic
-    assert (
-        naive_tox.twitter_toxic_fraction.xs.tolist()
-        == framed_tox.twitter_toxic_fraction.xs.tolist()
-    )
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_analysis_equals_oracle(name, small_dataset):
+    production, oracle = TWINS[name]
+    assert deep_eq(production(small_dataset), oracle(small_dataset))
 
 
 def test_frames_are_memoized(small_dataset):
@@ -115,15 +122,34 @@ def test_invalidate_drops_cached_frames(small_dataset):
     assert after.instance_populations == before.instance_populations
 
 
-def test_custom_scorer_bypasses_frames(small_dataset):
-    """A non-default scorer/encoder must not read the cached products."""
-    from repro.analysis.toxicity import toxicity_analysis
-    from repro.nlp.toxicity import PerspectiveScorer
+@pytest.mark.parametrize("source", ["memory", "reload"])
+@pytest.mark.parametrize("name", sorted(CUSTOM_OPERATORS))
+def test_custom_operator_equals_oracle(name, source, small_dataset, small_npz):
+    """A custom encoder/scorer runs over the frames' token tables and gives
+    the oracle's result with the same operator; on a reload it builds no
+    post."""
+    dataset = small_dataset if source == "memory" else MigrationDataset.load(small_npz)
+    production, oracle = TWINS[name]
+    got = production(dataset, **CUSTOM_OPERATORS[name])
+    if source == "reload":
+        for timelines in (dataset.twitter_timelines, dataset.mastodon_timelines):
+            assert timelines.built_count == 0
+    assert deep_eq(got, oracle(small_dataset, **CUSTOM_OPERATORS[name]))
 
-    default = toxicity_analysis(small_dataset)
-    custom = toxicity_analysis(small_dataset, scorer=PerspectiveScorer())
-    assert custom.pct_tweets_toxic == default.pct_tweets_toxic
-    assert custom.pct_users_toxic_on_both == default.pct_users_toxic_on_both
+
+def test_custom_scorer_bypasses_frames(small_dataset):
+    """A custom scorer/encoder bypasses the frames' caches: it neither
+    reads nor writes the default operator's result-cache entry, and its
+    result is not the default one."""
+    frames = frames_of(small_dataset)
+    for name, operators in CUSTOM_OPERATORS.items():
+        production, _ = TWINS[name]
+        default = production(small_dataset)
+        stats = frames.cache_stats()
+        custom = production(small_dataset, **operators)
+        assert frames.cache_stats() == stats, name
+        assert not deep_eq(custom, default), name
+        assert production(small_dataset) is default, name
 
 
 def test_reloaded_suite_identical(reloaded_outputs, frames_outputs):
@@ -132,10 +158,10 @@ def test_reloaded_suite_identical(reloaded_outputs, frames_outputs):
         assert text == frames_outputs[key], f"{key} differs after an .npz reload"
 
 
-def test_reloaded_frames_suite_builds_no_post(npz_path):
+def test_reloaded_frames_suite_builds_no_post(small_npz):
     """The figure suite and the report read tables and keys only; an
     analysis that walks post objects again on frames fails here."""
-    dataset = MigrationDataset.load(npz_path)
+    dataset = MigrationDataset.load(small_npz)
     suite_outputs(dataset)
     for name in ("twitter_timelines", "mastodon_timelines"):
         timelines = getattr(dataset, name)

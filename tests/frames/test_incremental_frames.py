@@ -39,6 +39,7 @@ from repro.incremental import advance, collect_with_cursor
 from repro.serving.app import ServingApp
 from repro.simulation.config import SimConfig
 from repro.simulation.world import build_world
+from tests.conftest import deep_eq
 
 SEED = 7
 SCALE = 0.002
@@ -75,35 +76,6 @@ PRODUCTS = (
     "instance_populations",
     "weekly_aggregate",
 )
-
-
-def deep_eq(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return (
-            isinstance(a, np.ndarray)
-            and isinstance(b, np.ndarray)
-            and a.dtype == b.dtype
-            and a.shape == b.shape
-            and np.array_equal(a, b)
-        )
-    if dataclasses.is_dataclass(a) and not isinstance(a, type):
-        return type(a) is type(b) and all(
-            deep_eq(getattr(a, f.name), getattr(b, f.name))
-            for f in dataclasses.fields(a)
-        )
-    if isinstance(a, dict):
-        return (
-            isinstance(b, dict)
-            and a.keys() == b.keys()
-            and all(deep_eq(a[k], b[k]) for k in a)
-        )
-    if isinstance(a, (list, tuple)):
-        return (
-            type(a) is type(b)
-            and len(a) == len(b)
-            and all(deep_eq(x, y) for x, y in zip(a, b))
-        )
-    return a == b
 
 
 def _warm(frames: DatasetFrames) -> None:

@@ -12,6 +12,7 @@ import pytest
 
 from repro.serving.app import ServingApp
 from repro.serving.loadgen import LoadgenConfig, build_trace
+from tests.oracles import serving as oracle
 
 
 @pytest.fixture(scope="session")
@@ -24,8 +25,8 @@ def serving_app(small_dataset) -> ServingApp:
 
 @pytest.fixture(scope="session")
 def naive_app(small_dataset) -> ServingApp:
-    """Naive views, caches off — the reference the fast path must match."""
-    return ServingApp(small_dataset, columnar=False, caches=False)
+    """Oracle views, caches off — the reference the fast path must match."""
+    return oracle.naive_app(small_dataset)
 
 
 @pytest.fixture(scope="session")

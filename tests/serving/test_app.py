@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.serving.app import ServingApp, render
+from tests.oracles import serving as oracle
 
 
 def get_json(app, target):
@@ -104,7 +105,7 @@ class TestErrors:
         assert status == 405
 
     def test_errors_are_counted(self, small_dataset):
-        app = ServingApp(small_dataset, columnar=False, caches=False)
+        app = oracle.naive_app(small_dataset)
         app.get("/nope")
         assert app.error_count == 1
         assert app.request_count == 1

@@ -4,7 +4,8 @@ Two byte-level equivalences, checked over a real generated workload plus
 hand-picked edge cases:
 
 - **columnar == naive** — every endpoint's payload from the columnar
-  fast path is byte-identical to the naive per-object reference;
+  views is byte-identical to the per-object oracle
+  (``tests/oracles/serving.py``);
 - **caches == no caches** — enabling the cache tiers changes latency
   only, never bytes (the second, cached answer is identical too).
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.collection.dataset import MigrationDataset
 from repro.serving.app import ServingApp
 from repro.serving.loadgen import (
     LoadgenConfig,
@@ -111,6 +112,16 @@ class TestWorkloadShape:
         assert len(set(inventory.twitter_uids)) == len(inventory.twitter_uids)
         assert len(set(inventory.hashtags)) == len(inventory.hashtags)
         assert inventory.trend_terms == sorted(small_dataset.trends)
+
+    def test_inventory_on_a_reload_builds_no_post(self, small_dataset, small_npz):
+        """Timeline sizes and status hashtags come from the frames tables,
+        so a reload ranks the same keys without building a post."""
+        reloaded = MigrationDataset.load(small_npz)
+        inventory = WorkloadInventory.from_dataset(reloaded)
+        for timelines in (reloaded.twitter_timelines, reloaded.mastodon_timelines):
+            assert timelines.built_count == 0
+        in_memory = WorkloadInventory.from_dataset(small_dataset)
+        assert vars(inventory) == vars(in_memory)
 
 
 class TestReplay:

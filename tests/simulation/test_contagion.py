@@ -5,7 +5,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from repro.simulation.config import WorldConfig
+from repro.simulation.config import SimConfig
 from repro.simulation.contagion import ContagionModel
 from repro.simulation.events import EventTimeline
 from repro.simulation.population import SimUser
@@ -27,7 +27,7 @@ def agent(uid: int = 1, ideology: float = 0.5) -> SimUser:
 
 @pytest.fixture
 def model():
-    config = WorldConfig(seed=1, scale=0.001)
+    config = SimConfig(seed=1, scale=0.001)
     graph = FollowGraph()
     for followee in (2, 3, 4, 5):
         graph.follow(1, followee)
@@ -46,7 +46,7 @@ class TestFraction:
 
 class TestHazard:
     def test_zero_when_no_intensity(self):
-        config = WorldConfig()
+        config = SimConfig()
         timeline = EventTimeline(shocks=(), baseline=0.0)
         model = ContagionModel(config, timeline, FollowGraph(), np.random.default_rng())
         assert model.hazard_given_fraction(agent(), TAKEOVER_DATE, 0.5) == 0.0
@@ -58,7 +58,7 @@ class TestHazard:
 
     def test_contagion_weight_zero_ablation(self):
         """The ablation: with weight 0, the social term has no effect."""
-        config = WorldConfig(contagion_weight=0.0)
+        config = SimConfig(contagion_weight=0.0)
         model = ContagionModel(
             config, EventTimeline(), FollowGraph(), np.random.default_rng()
         )
@@ -79,7 +79,7 @@ class TestHazard:
         assert before < after
 
     def test_hazard_capped(self):
-        config = WorldConfig(base_daily_hazard=10.0)
+        config = SimConfig(base_daily_hazard=10.0)
         model = ContagionModel(
             config, EventTimeline(), FollowGraph(), np.random.default_rng()
         )

@@ -5,12 +5,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.simulation.config import WorldConfig
+from repro.simulation.config import SimConfig
 from repro.simulation.instance_choice import InstanceChooser
 from repro.simulation.population import generate_instances
 from tests.simulation.test_contagion import agent
 
-CONFIG = WorldConfig(seed=2, scale=0.001)
+CONFIG = SimConfig(seed=2, scale=0.001)
 
 
 @pytest.fixture
@@ -26,7 +26,7 @@ class TestChoose:
             assert chooser.choose(agent(), Counter()) in domains
 
     def test_social_copy_follows_counter(self):
-        config = WorldConfig(
+        config = SimConfig(
             choice_social_weight=1.0,
             choice_flagship_weight=0.0,
             choice_topic_weight=0.0,
@@ -40,7 +40,7 @@ class TestChoose:
 
     def test_social_ablation_removes_copying(self):
         """choice_social_weight=0 must ignore followee instances entirely."""
-        config = WorldConfig(
+        config = SimConfig(
             choice_social_weight=0.0,
             choice_flagship_weight=0.7,
             choice_topic_weight=0.2,
@@ -59,7 +59,7 @@ class TestChoose:
         assert picks["mastodon.social"] > 600 * 0.15
 
     def test_topic_match(self):
-        config = WorldConfig(
+        config = SimConfig(
             choice_social_weight=0.0,
             choice_flagship_weight=0.0,
             choice_topic_weight=1.0,
@@ -107,7 +107,7 @@ class TestSelfHost:
 
 class TestPopulationTracking:
     def test_record_population_feeds_preferential(self):
-        config = WorldConfig(
+        config = SimConfig(
             choice_social_weight=0.0,
             choice_flagship_weight=1.0,
             choice_topic_weight=0.0,

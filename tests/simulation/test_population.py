@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simulation.config import WorldConfig
+from repro.simulation.config import SimConfig
 from repro.simulation.population import (
     NAMED_INSTANCES,
     PopulationBuilder,
@@ -15,7 +15,7 @@ from repro.fediverse.network import FediverseNetwork
 from repro.twitter.graph import FollowGraph
 from repro.twitter.store import TwitterStore
 
-CONFIG = WorldConfig(seed=3, scale=0.001)
+CONFIG = SimConfig(seed=3, scale=0.001)
 
 
 @pytest.fixture(scope="module")

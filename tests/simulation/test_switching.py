@@ -5,16 +5,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.simulation.config import WorldConfig
+from repro.simulation.config import SimConfig
 from repro.simulation.switching import SwitchModel
 from tests.simulation.test_contagion import agent
 
 FLAGSHIPS = frozenset({"mastodon.social", "mastodon.online"})
 
 
-def model(config: WorldConfig | None = None, seed: int = 4) -> SwitchModel:
+def model(config: SimConfig | None = None, seed: int = 4) -> SwitchModel:
     return SwitchModel(
-        config or WorldConfig(), FLAGSHIPS, np.random.default_rng(seed)
+        config or SimConfig(), FLAGSHIPS, np.random.default_rng(seed)
     )
 
 
@@ -59,7 +59,7 @@ class TestProposeSwitch:
             assert model().propose_switch(a, counts) is None
 
     def test_high_concentration_eventually_switches(self):
-        config = WorldConfig(switch_daily_scale=0.05)
+        config = SimConfig(switch_daily_scale=0.05)
         switch_model = model(config)
         a = migrated_agent()
         counts = Counter({"art.school": 20, "mastodon.social": 1})
@@ -75,7 +75,7 @@ class TestProposeSwitch:
         low_conc = Counter({"art.school": 12, "other.place": 9, "x.site": 9,
                             "mastodon.social": 10})
         high_conc = Counter({"art.school": 90, "mastodon.social": 10})
-        config = WorldConfig(switch_daily_scale=0.02, switch_social_pull=0.0)
+        config = SimConfig(switch_daily_scale=0.02, switch_social_pull=0.0)
 
         def rate(counts):
             switch_model = model(config, seed=9)
@@ -87,7 +87,7 @@ class TestProposeSwitch:
         assert abs(rate(high_conc) - rate(low_conc)) < 0.02
 
     def test_flagship_users_switch_more(self):
-        config = WorldConfig(switch_daily_scale=0.05)
+        config = SimConfig(switch_daily_scale=0.05)
         counts = Counter({"art.school": 30, "mastodon.social": 1})
 
         def rate(instance):
@@ -100,7 +100,7 @@ class TestProposeSwitch:
         assert rate("mastodon.social") > rate("quiet.corner")
 
     def test_switching_onto_flagships_damped(self):
-        config = WorldConfig(switch_daily_scale=0.05)
+        config = SimConfig(switch_daily_scale=0.05)
         toward_flagship = Counter({"mastodon.online": 30, "quiet.corner": 1})
         toward_topical = Counter({"art.school": 30, "quiet.corner": 1})
 

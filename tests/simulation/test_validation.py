@@ -50,8 +50,8 @@ class TestValidation:
         assert "precision" in text and "recall" in text
 
     def test_empty_world_rejected(self, small_dataset):
-        from repro.simulation.config import WorldConfig
+        from repro.simulation.config import SimConfig
 
-        empty = World(WorldConfig(seed=1, scale=0.001))  # not simulated
+        empty = World(SimConfig(seed=1, scale=0.001))  # not simulated
         with pytest.raises(SimulationError):
             validate(empty, small_dataset)

@@ -5,7 +5,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from repro.simulation.config import SimConfig, WorldConfig
+from repro.simulation.config import SimConfig
 from repro.simulation.world import World, build_world
 
 
@@ -18,7 +18,7 @@ class TestScaleFloor:
         assert world.network.instance_count >= 60
 
     def test_short_window(self):
-        config = WorldConfig(
+        config = SimConfig(
             seed=5,
             scale=0.001,
             start=dt.date(2022, 10, 20),

@@ -1,10 +1,10 @@
-"""Tests for the unified error surface (repro.errors) and its shims."""
+"""Tests for the unified error surface (repro.errors)."""
 
 import pytest
 
 import repro.errors as errors
-import repro.fediverse.errors as fedi_shim
-import repro.twitter.errors as twitter_shim
+import repro.fediverse as fediverse
+import repro.twitter as twitter
 
 
 class TestRetriableSurface:
@@ -72,7 +72,7 @@ class TestRetryAfter:
 
 
 class TestShims:
-    """The subsystem error modules re-export the unified hierarchy."""
+    """The subsystem packages re-export classes of the unified hierarchy."""
 
     @pytest.mark.parametrize(
         "name",
@@ -85,7 +85,7 @@ class TestShims:
         ],
     )
     def test_twitter_shim_identity(self, name):
-        assert getattr(twitter_shim, name) is getattr(errors, name)
+        assert getattr(twitter, name) is getattr(errors, name)
 
     @pytest.mark.parametrize(
         "name",
@@ -93,14 +93,11 @@ class TestShims:
             "FediverseError",
             "InstanceNotFoundError",
             "InstanceDownError",
-            "CircuitOpenError",
             "AccountNotFoundError",
-            "DuplicateAccountError",
-            "FederationError",
         ],
     )
     def test_fediverse_shim_identity(self, name):
-        assert getattr(fedi_shim, name) is getattr(errors, name)
+        assert getattr(fediverse, name) is getattr(errors, name)
 
     def test_everything_reexported_is_a_repro_error(self):
         for name in errors.__all__:

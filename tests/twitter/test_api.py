@@ -4,12 +4,12 @@ import datetime as dt
 
 import pytest
 
-from repro.twitter.api import TwitterAPI
-from repro.twitter.errors import (
+from repro.errors import (
     NotFoundError,
     ProtectedAccountError,
     SuspendedAccountError,
 )
+from repro.twitter.api import TwitterAPI
 from repro.twitter.graph import FollowGraph
 from repro.twitter.models import AccountState, Tweet, TwitterUser
 from repro.twitter.ratelimit import EndpointLimit, RateLimiter
@@ -165,7 +165,7 @@ class TestFollowing:
         limiter = RateLimiter({"following": EndpointLimit(1, 900)})
         api = TwitterAPI(store, graph, limiter=limiter)
         api.following(1, wait=False)
-        from repro.twitter.errors import RateLimitExceeded
+        from repro.errors import RateLimitExceeded
 
         with pytest.raises(RateLimitExceeded):
             api.following(2, wait=False)

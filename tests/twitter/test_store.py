@@ -4,7 +4,7 @@ import datetime as dt
 
 import pytest
 
-from repro.twitter.errors import NotFoundError
+from repro.errors import NotFoundError
 from repro.twitter.models import Tweet, TwitterUser
 from repro.twitter.store import TwitterStore
 
