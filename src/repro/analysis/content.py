@@ -20,7 +20,11 @@ import numpy as np
 from repro.collection.dataset import MigrationDataset
 from repro.errors import AnalysisError
 from repro.frames import frames_of
-from repro.nlp.embeddings import HashingSentenceEncoder, max_similarities
+from repro.nlp.embeddings import (
+    EmbeddingRows,
+    HashingSentenceEncoder,
+    max_similarities,
+)
 from repro.util.stats import Ecdf, percent
 
 SIMILARITY_THRESHOLD = 0.7
@@ -46,7 +50,7 @@ def content_similarity(
     """The Figure 14 analysis over users crawled on both platforms.
 
     A custom ``encoder`` embeds the shared token tables on every call:
-    its matrices are neither the cached default ones nor cached.
+    its rows are neither the cached default ones nor cached.
     """
     if not 0.0 < threshold < 1.0:
         raise AnalysisError(f"threshold must be in (0, 1), got {threshold}")
@@ -70,19 +74,20 @@ def content_similarity(
 
 
 def _content_similarity_frames(
-    fr, threshold: float, tweet_emb: np.ndarray, status_emb: np.ndarray
+    fr, threshold: float, tweet_emb: EmbeddingRows, status_emb: EmbeddingRows
 ) -> ContentSimilarityResult:
-    """Slice per-user rows out of corpus embedding matrices.
+    """Compare each user's rows, made dense from the compact embeddings.
 
-    Exactness notes: a contiguous row slice of the C-contiguous corpus
-    matrix matmuls bit-identically to the per-user matrix of the oracle,
-    and a fancy-indexed copy (the non-boost status rows) likewise; the
-    per-row vectors themselves equal ``encode(text)`` by
-    ``encode_tokenized``'s contract.
+    Exactness notes: a user's tweet range and kept (non-boost) status rows
+    become fresh C-contiguous matrices, laid out as the oracle's per-user
+    ``encode_batch`` matrices are, so they matmul bit-identically to them;
+    the rows themselves equal ``encode(text)`` by ``encode_tokenized``'s
+    contract.
     """
     tweet_table = fr.tweet_table
     status_table = fr.status_table
-    boost_flags = status_table.flags
+    status_texts = status_table.texts
+    not_boost = ~status_table.flags
     identical_fracs: list[float] = []
     similar_fracs: list[float] = []
     all_different = 0
@@ -90,21 +95,19 @@ def _content_similarity_frames(
         t_range = tweet_table.slice_of(uid)
         if t_range is None or t_range[0] == t_range[1] or s_start == s_stop:
             continue
-        keep = [
-            row for row in range(s_start, s_stop) if not boost_flags[row]
-        ]
-        if not keep:
+        keep = np.flatnonzero(not_boost[s_start:s_stop]) + s_start
+        n = keep.size
+        if not n:
             continue
         t_start, t_stop = t_range
         tweet_set = set(tweet_table.texts[t_start:t_stop])
         identical = sum(
-            1 for row in keep if status_table.texts[row] in tweet_set
+            1 for row in keep.tolist() if status_texts[row] in tweet_set
         )
-        status_vecs = status_emb[keep]
-        tweet_vecs = tweet_emb[t_start:t_stop]
+        status_vecs = status_emb.dense(keep)
+        tweet_vecs = tweet_emb.dense_range(t_start, t_stop)
         sims = max_similarities(status_vecs, tweet_vecs)
         similar = int(np.count_nonzero(sims > threshold))
-        n = len(keep)
         identical_fracs.append(identical / n)
         similar_fracs.append(similar / n)
         if similar == 0 and identical == 0:

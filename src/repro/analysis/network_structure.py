@@ -91,91 +91,97 @@ def network_structure(dataset: MigrationDataset) -> NetworkStructureResult:
 def _network_structure_frames(fr) -> NetworkStructureResult:
     """The structural statistics from flat edge arrays.
 
-    Everything here is integer counting (unique edges, set membership,
-    weakly-connected components via union-find), so agreement with the
-    networkx graphs of :func:`build_sample_graph` is exact by construction
-    — asserted against the oracle in ``tests/frames/``.
+    Everything here is integer counting over dense uid ids (unique edge
+    keys, set membership by mask and ``searchsorted``, weakly-connected
+    components via union-find), so agreement with the networkx graphs of
+    :func:`build_sample_graph` is exact by construction — asserted against
+    the oracle in ``tests/frames/``.
     """
     dataset = fr.dataset
     if not dataset.followee_sample:
         raise AnalysisError("no followee sample in dataset")
     table = fr.edge_table
-    sampled = set(table.sampled_uids)
-    if table.sources.size:
-        # nx.DiGraph.add_edge dedupes repeated followee entries
-        pairs = np.unique(
-            np.stack([table.sources, table.targets], axis=1), axis=0
-        )
-        edge_list = [(int(u), int(v)) for u, v in pairs]
-    else:
-        edge_list = []
-    total_edges = len(edge_list)
-    if total_edges == 0:
+    if not table.sources.size:
         raise AnalysisError("the sampled graph has no edges")
-    nodes = set(sampled)
-    for u, v in edge_list:
-        nodes.add(u)
-        nodes.add(v)
-    matched = dataset.matched
-    migrated = {n for n in nodes if n in matched}
-    edges_into_migrants = sum(1 for _, v in edge_list if v in migrated)
-    baseline = percent(len(migrated), len(nodes))
+    profiles = fr.profile_table
+    # dense ids over every uid in sight: edge ends, sampled users, migrants
+    n_edges, n_sampled = table.sources.size, len(table.sampled_uids)
+    uids, ids = np.unique(
+        np.concatenate(
+            [
+                table.sources,
+                table.targets,
+                np.asarray(table.sampled_uids, dtype=np.int64),
+                np.asarray(profiles.matched_uids, dtype=np.int64),
+            ]
+        ),
+        return_inverse=True,
+    )
+    width = uids.size
+    sampled = np.zeros(width, dtype=bool)
+    sampled[ids[2 * n_edges : 2 * n_edges + n_sampled]] = True
+    domain = np.full(width, -1, dtype=np.int64)
+    domain[ids[2 * n_edges + n_sampled :]] = profiles.matched_domain_ids
+    is_node = sampled.copy()
+    is_node[ids[: 2 * n_edges]] = True
+    migrated = is_node & (domain >= 0)
 
-    edge_set = set(edge_list)
-    inner_edges = [
-        (u, v) for u, v in edge_list if u in sampled and v in sampled
-    ]
-    reciprocated = sum(1 for u, v in inner_edges if (v, u) in edge_set)
+    # nx.DiGraph.add_edge dedupes repeated followee entries
+    keys = np.unique(ids[:n_edges] * width + ids[n_edges : 2 * n_edges])
+    heads, tails = np.divmod(keys, width)
+    total_edges = int(keys.size)
+    node_count = int(np.count_nonzero(is_node))
+    migrated_count = int(np.count_nonzero(migrated))
+    edges_into_migrants = int(np.count_nonzero(migrated[tails]))
 
-    instance_nodes: set[str] = set()
-    instance_edges: set[tuple[str, str]] = set()
-    for u, v in edge_list:
-        mu = matched.get(u)
-        mv = matched.get(v)
-        if mu is None or mv is None:
-            continue
-        iu, iv = mu.mastodon_domain, mv.mastodon_domain
-        if iu == iv:
-            continue
-        instance_nodes.add(iu)
-        instance_nodes.add(iv)
-        instance_edges.add((iu, iv) if iu <= iv else (iv, iu))
+    inner = sampled[heads] & sampled[tails]
+    inner_count = int(np.count_nonzero(inner))
+    reverse = tails[inner] * width + heads[inner]
+    found = np.searchsorted(keys, reverse).clip(max=total_edges - 1)
+    reciprocated = int(np.count_nonzero(keys[found] == reverse))
 
-    sub_nodes = sampled | {
-        v for u, v in edge_list if u in sampled and v in migrated
-    }
-    if sub_nodes:
-        parent = {n: n for n in sub_nodes}
+    du, dv = domain[heads], domain[tails]
+    cross = (du >= 0) & (dv >= 0) & (du != dv)
+    du, dv = du[cross], dv[cross]
+    instance_nodes = np.unique(np.concatenate([du, dv])).size
+    instance_edges = np.unique(
+        np.minimum(du, dv) * len(profiles.domains) + np.maximum(du, dv)
+    ).size
 
-        def find(n: int) -> int:
-            root = n
-            while parent[root] != root:
-                root = parent[root]
-            while parent[n] != root:
-                parent[n], n = root, parent[n]
-            return root
+    # the sampled users plus the migrants they follow, and the sampled
+    # edges among them (every edge starts at a sampled user)
+    in_sub = sampled.copy()
+    in_sub[tails[migrated[tails]]] = True
+    sub_edges = in_sub[tails]
+    sub_nodes = np.flatnonzero(in_sub)
+    parent = list(range(sub_nodes.size))
 
-        for u, v in edge_list:
-            if u in parent and v in parent:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-        sizes: dict[int, int] = {}
-        for n in sub_nodes:
-            root = find(n)
-            sizes[root] = sizes.get(root, 0) + 1
-        largest_pct = percent(max(sizes.values(), default=0), len(sub_nodes))
-    else:
-        largest_pct = 0.0
+    def find(n: int) -> int:
+        root = n
+        while parent[root] != root:
+            root = parent[root]
+        while parent[n] != root:
+            parent[n], n = root, parent[n]
+        return root
+
+    for u, v in zip(
+        np.searchsorted(sub_nodes, heads[sub_edges]).tolist(),
+        np.searchsorted(sub_nodes, tails[sub_edges]).tolist(),
+    ):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    roots = np.fromiter(map(find, range(sub_nodes.size)), np.int64)
+    largest = int(np.bincount(roots).max())
 
     return NetworkStructureResult(
-        nodes=len(nodes),
+        nodes=node_count,
         edges=total_edges,
-        migrated_nodes=len(migrated),
+        migrated_nodes=migrated_count,
         pct_edges_into_migrants=percent(edges_into_migrants, total_edges),
-        pct_expected_at_random=baseline,
-        reciprocity_pct=percent(reciprocated, len(inner_edges) or 1),
-        instance_graph_nodes=len(instance_nodes),
-        instance_graph_edges=len(instance_edges),
-        largest_component_pct=largest_pct,
+        pct_expected_at_random=percent(migrated_count, node_count),
+        reciprocity_pct=percent(reciprocated, inner_count or 1),
+        instance_graph_nodes=int(instance_nodes),
+        instance_graph_edges=int(instance_edges),
+        largest_component_pct=percent(largest, sub_nodes.size),
     )

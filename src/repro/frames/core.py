@@ -2,7 +2,7 @@
 
 :class:`DatasetFrames` is the shared analysis substrate: the first analysis
 that needs a column table or a derived product (per-day volume vectors,
-token tables, embedding matrices, toxicity score vectors) builds it under an
+token tables, compact embedding rows, toxicity score vectors) builds it under an
 ``obs`` span (``frames.<product>``); every later analysis — and the headline
 report, which re-runs the same figures — reuses it.
 
@@ -22,6 +22,7 @@ Memoization contract (see DESIGN.md §5):
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 from typing import Any, Callable, TypeVar
 
@@ -43,10 +44,11 @@ from repro.frames.tables import (
     iso_day_strings,
     rebase_timeline_table,
     rebase_token_table,
-    row_positions,
+    splice_ragged,
 )
-from repro.nlp.embeddings import HashingSentenceEncoder
+from repro.nlp.embeddings import EmbeddingRows, HashingSentenceEncoder
 from repro.nlp.toxicity import PerspectiveScorer
+from repro.util.text import row_positions
 
 T = TypeVar("T")
 
@@ -317,10 +319,14 @@ class DatasetFrames:
         return self._product("status_toxicity", build)
 
     @property
-    def tweet_embeddings(self) -> np.ndarray:
-        """Default-encoder embedding matrix over tweet rows (row == ``encode``)."""
+    def tweet_embeddings(self) -> EmbeddingRows:
+        """Default-encoder embedding rows over tweet rows (row == ``encode``).
 
-        def build() -> np.ndarray:
+        Compact rows, not a dense matrix: a text fills a dozen or so of the
+        256 cells, so a dense matrix would be an order of magnitude larger.
+        """
+
+        def build() -> EmbeddingRows:
             tokens = self.tweet_tokens
             return self._encoder.encode_tokenized(
                 tokens.flat, tokens.offsets, tokens.vocab
@@ -329,8 +335,8 @@ class DatasetFrames:
         return self._product("tweet_embeddings", build)
 
     @property
-    def status_embeddings(self) -> np.ndarray:
-        def build() -> np.ndarray:
+    def status_embeddings(self) -> EmbeddingRows:
+        def build() -> EmbeddingRows:
             tokens = self.status_tokens
             return self._encoder.encode_tokenized(
                 tokens.flat, tokens.offsets, tokens.vocab
@@ -338,9 +344,15 @@ class DatasetFrames:
 
         return self._product("status_embeddings", build)
 
-    def build_stats(self) -> dict[str, bool]:
-        """Which products have been materialized (for tests/telemetry)."""
-        return {name: True for name in sorted(self._products)}
+    def build_stats(self) -> dict[str, int]:
+        """Materialized products and their numpy array bytes.
+
+        Python objects (text and vocabulary lists, dicts) are not counted.
+        """
+        return {
+            name: _array_bytes(self._products[name])
+            for name in sorted(self._products)
+        }
 
     def cache_stats(self) -> dict:
         """Result-cache accounting (rendered by serving ``/metrics`` and bench)."""
@@ -500,9 +512,8 @@ class DatasetFrames:
                     )
                 old_emb = self._products.get(f"{side}_embeddings")
                 if old_emb is not None:
-                    new._products[f"{side}_embeddings"] = _splice_rows(
-                        old_emb, rowmap, tokens,
-                        new._encoder.encode_tokenized,
+                    new._products[f"{side}_embeddings"] = _splice_embeddings(
+                        old_emb, rowmap, tokens, new._encoder
                     )
             old_days = self._products.get("collected_days")
             if old_days is not None:
@@ -543,33 +554,74 @@ class DatasetFrames:
         return new
 
 
+def _array_bytes(value: Any) -> int:
+    """Bytes of the numpy arrays in a product: an array or a table's fields."""
+    if isinstance(value, np.ndarray):
+        return value.nbytes
+    if dataclasses.is_dataclass(value):
+        return sum(
+            _array_bytes(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        )
+    return 0
+
+
+def _fresh_tokens(
+    tokens: TokenTable, fresh: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(flat, offsets)`` token subset of the rows ``fresh``.
+
+    The per-row NLP operators are row-pure — a row depends only on its own
+    token ids and the vocab strings — so running one over this subset
+    yields rows bit-identical to a full recompute.
+    """
+    sub_offsets = np.zeros(len(fresh) + 1, dtype=np.int64)
+    np.cumsum(
+        tokens.offsets[fresh + 1] - tokens.offsets[fresh], out=sub_offsets[1:]
+    )
+    return tokens.flat[row_positions(tokens.offsets, fresh)], sub_offsets
+
+
 def _splice_rows(
     old: np.ndarray,
     rowmap: RowMap,
     tokens: TokenTable,
     fn: Callable[[np.ndarray, np.ndarray, list[str]], np.ndarray],
 ) -> np.ndarray:
-    """Rebuild a per-row NLP vector/matrix by copying kept rows.
+    """Rebuild a per-row score vector by copying kept rows.
 
-    ``fn`` (``score_tokenized`` / ``encode_tokenized``) is row-pure — a
-    row depends only on its own token ids and the vocab strings — so
-    running it over a compacted token subset of the fresh rows yields
-    rows bit-identical to a full recompute.
+    Only the fresh rows run ``fn`` (``score_tokenized``).
     """
-    shape = (rowmap.row_count,) + old.shape[1:]
-    out = np.zeros(shape, dtype=old.dtype)
+    out = np.zeros(rowmap.row_count, dtype=old.dtype)
     for new_start, old_start, count in rowmap.runs:
         out[new_start : new_start + count] = old[old_start : old_start + count]
     fresh = rowmap.fresh
     if fresh.size:
-        sub_offsets = np.zeros(len(fresh) + 1, dtype=np.int64)
-        np.cumsum(
-            tokens.offsets[fresh + 1] - tokens.offsets[fresh],
-            out=sub_offsets[1:],
-        )
-        sub_flat = tokens.flat[row_positions(tokens.offsets, fresh)]
-        out[fresh] = fn(sub_flat, sub_offsets, tokens.vocab)
+        out[fresh] = fn(*_fresh_tokens(tokens, fresh), tokens.vocab)
     return out
+
+
+def _splice_embeddings(
+    old: EmbeddingRows,
+    rowmap: RowMap,
+    tokens: TokenTable,
+    encoder: HashingSentenceEncoder,
+) -> EmbeddingRows:
+    """Rebuild compact embedding rows by copying kept rows' cells.
+
+    Only the fresh rows are encoded.
+    """
+    fresh = encoder.encode_tokenized(
+        *_fresh_tokens(tokens, rowmap.fresh), tokens.vocab
+    )
+    indptr, (data, cols) = splice_ragged(
+        old.indptr,
+        (old.data, old.cols),
+        rowmap,
+        fresh.indptr,
+        (fresh.data, fresh.cols),
+    )
+    return EmbeddingRows(data=data, cols=cols, indptr=indptr, dim=old.dim)
 
 
 def frames_of(dataset) -> DatasetFrames:

@@ -18,7 +18,7 @@ Token tables come from one corpus tokenizer,
 over the fresh rows only.
 
 Tables carry data only — no analysis logic.  The derived products
-(per-day volume vectors, embedding matrices, toxicity score vectors) live
+(per-day volume vectors, embedding rows, toxicity score vectors) live
 on :class:`repro.frames.core.DatasetFrames`, which builds each table at
 most once per dataset.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.collection.binfmt import ColumnTimelines, PostColumns
-from repro.util.text import normalize_hashtag, tokenize_corpus
+from repro.util.text import normalize_hashtag, row_positions, tokenize_corpus
 
 
 class Interner:
@@ -486,9 +486,8 @@ def rebase_token_table(
     (``score_tokenized`` / ``encode_tokenized``) are row-pure functions of
     the token *strings* via the vocab lookup.
     """
-    fresh = rowmap.fresh
     fresh_flat, fresh_offsets, fresh_vocab = tokenize_corpus(
-        [texts[r] for r in fresh.tolist()]
+        [texts[r] for r in rowmap.fresh.tolist()]
     )
     # fresh_vocab is in first-seen order over the fresh rows, so interning
     # it in order appends new tokens exactly as per-token interning would
@@ -496,34 +495,51 @@ def rebase_token_table(
     to_old_ids = np.fromiter(
         map(interner.intern, fresh_vocab), np.int32, len(fresh_vocab)
     )
+    offsets, (flat,) = splice_ragged(
+        old.offsets,
+        (old.flat,),
+        rowmap,
+        fresh_offsets,
+        (to_old_ids[fresh_flat],),
+    )
+    return TokenTable(flat=flat, offsets=offsets, vocab=interner.vocab)
+
+
+def splice_ragged(
+    old_offsets: np.ndarray,
+    old_columns: tuple[np.ndarray, ...],
+    rowmap: RowMap,
+    fresh_offsets: np.ndarray,
+    fresh_columns: tuple[np.ndarray, ...],
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Splice ragged columns sharing ``offsets`` along a :class:`RowMap`.
+
+    Row ``i`` of a ragged column is ``column[offsets[i]:offsets[i + 1]]``.
+    The runs' rows are copied segment by segment from ``old_columns``; the
+    fresh rows (in ``rowmap.fresh`` order) come from ``fresh_columns``.
+    Returns the new offsets and columns.
+    """
     lengths = np.zeros(rowmap.row_count, dtype=np.int64)
-    old_lengths = np.diff(old.offsets)
+    old_lengths = np.diff(old_offsets)
     for new_start, old_start, count in rowmap.runs:
         lengths[new_start : new_start + count] = old_lengths[
             old_start : old_start + count
         ]
-    lengths[fresh] = np.diff(fresh_offsets)
+    lengths[rowmap.fresh] = np.diff(fresh_offsets)
     offsets = np.empty(rowmap.row_count + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(lengths, out=offsets[1:])
-    flat = np.empty(int(offsets[-1]), dtype=np.int32)
-    old_offsets = old.offsets
-    for new_start, old_start, count in rowmap.runs:
-        flat[offsets[new_start] : offsets[new_start + count]] = old.flat[
-            old_offsets[old_start] : old_offsets[old_start + count]
-        ]
-    flat[row_positions(offsets, fresh)] = to_old_ids[fresh_flat]
-    return TokenTable(flat=flat, offsets=offsets, vocab=interner.vocab)
-
-
-def row_positions(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Positions in ``flat`` of the tokens of ``rows``, row after row."""
-    starts = offsets[rows]
-    lengths = offsets[rows + 1] - starts
-    skipped = starts - (np.cumsum(lengths) - lengths)
-    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
-        skipped, lengths
-    )
+    fresh_positions = row_positions(offsets, rowmap.fresh)
+    columns = []
+    for old, fresh in zip(old_columns, fresh_columns):
+        column = np.empty(int(offsets[-1]), dtype=old.dtype)
+        for new_start, old_start, count in rowmap.runs:
+            column[offsets[new_start] : offsets[new_start + count]] = old[
+                old_offsets[old_start] : old_offsets[old_start + count]
+            ]
+        column[fresh_positions] = fresh
+        columns.append(column)
+    return offsets, columns
 
 
 @dataclass(slots=True)

@@ -80,6 +80,20 @@ def tokenize_corpus(
     return flat, offsets, [word.decode("ascii") for word in ids]
 
 
+def row_positions(offsets: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions in a ragged ``flat`` of the entries of ``rows``, row after row.
+
+    ``offsets`` bound the rows as ``tokenize_corpus``'s do (row ``i`` is
+    ``flat[offsets[i]:offsets[i + 1]]``).
+    """
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    skipped = starts - (np.cumsum(lengths) - lengths)
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+        skipped, lengths
+    )
+
+
 def extract_hashtags(text: str) -> list[str]:
     """Hashtags appearing in ``text`` (without the ``#``), original case kept."""
     return _HASHTAG_RE.findall(text)

@@ -182,6 +182,15 @@ def tiny_dataset() -> MigrationDataset:
     return ds
 
 
+def assert_rows_identical(got, want) -> None:
+    """Two ``EmbeddingRows`` field by field, dtypes and bytes (so a signed
+    zero would show, which ``np.array_equal`` hides)."""
+    assert type(got) is type(want) and got.dim == want.dim
+    for name in ("data", "cols", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def deep_eq(a, b) -> bool:
     """Structural equality: arrays by dtype, shape and values, dataclasses
     and containers field by field (list/tuple types must match)."""

@@ -36,10 +36,11 @@ from repro.collection.pipeline import CollectionConfig
 from repro.errors import AnalysisError
 from repro.frames.core import DatasetFrames, frames_of
 from repro.incremental import advance, collect_with_cursor
+from repro.nlp.embeddings import EmbeddingRows
 from repro.serving.app import ServingApp
 from repro.simulation.config import SimConfig
 from repro.simulation.world import build_world
-from tests.conftest import deep_eq
+from tests.conftest import assert_rows_identical, deep_eq
 
 SEED = 7
 SCALE = 0.002
@@ -192,6 +193,13 @@ class TestRebaseBitIdentity:
         assert deep_eq(getattr(rebased, name), getattr(cold, name)), (
             f"{name} diverged after rebase"
         )
+
+    @pytest.mark.parametrize("side", ["tweet", "status"])
+    def test_embedding_rows_field_by_field(self, pair, side):
+        rebased, cold = pair[0], pair[1]
+        got = getattr(rebased, f"{side}_embeddings")
+        assert isinstance(got, EmbeddingRows)
+        assert_rows_identical(got, getattr(cold, f"{side}_embeddings"))
 
     def test_analyses_equal(self, pair):
         _, _, new_ds, cold_ds, _ = pair

@@ -1,10 +1,10 @@
 """The batched NLP fast paths must be *bit-exact* twins of the scalar ones.
 
-``tokenize_corpus`` / ``encode_batch`` / ``score_batch`` back the memoized
-frames products, and the frames contract (DESIGN.md §5) promises
+``tokenize_corpus`` / ``encode_tokenized`` / ``score_batch`` back the
+memoized frames products, and the frames contract (DESIGN.md §5) promises
 byte-identical analysis output — so these tests assert exact equality (ids,
-offsets, floats), not approx.  The scalar ``tokenize`` / ``encode`` /
-``score`` are the oracles.
+offsets, floats — through int64 views where a signed zero could hide), not
+approx.  The scalar ``tokenize`` / ``encode`` / ``score`` are the oracles.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nlp import embeddings
-from repro.nlp.embeddings import HashingSentenceEncoder
+from repro.nlp.embeddings import HashingSentenceEncoder, _row_norms
 from repro.nlp.toxicity import PerspectiveScorer
 from repro.util import text as text_module
 from repro.util.text import tokenize, tokenize_corpus
@@ -193,3 +193,106 @@ class TestHostileBatches:
             mat = encoder.encode_batch(texts)
         for row, text in zip(mat, texts):
             assert row.tobytes() == encoder.encode(text).tobytes()
+
+
+def cancelling_pair(dim: int) -> tuple[str, str]:
+    """Two words hashed to one bucket with opposite signs at ``dim``."""
+    encoder = HashingSentenceEncoder(dim)
+    seen: dict[tuple[int, float], str] = {}
+    for i in range(10_000):
+        word = f"c{i}"
+        index, sign = encoder._bucket(word)
+        if (index, -sign) in seen:
+            return seen[index, -sign], word
+        seen.setdefault((index, sign), word)
+    raise AssertionError(f"no cancelling pair at dim {dim}")
+
+
+DIMS = (8, 256, 300)
+CANCELLING = {dim: cancelling_pair(dim) for dim in DIMS}
+
+
+def _compact_corpora(dim: int):
+    # 30 words over 8 buckets put 3+ tokens of a text in one bucket; the
+    # cancelling pair, repeated equally often, sums a cell to exactly 0.0
+    a, b = CANCELLING[dim]
+    fragments = st.sampled_from(
+        [f"w{i}" for i in range(30)]
+        + [a, b, f"{a} {b}", f"{a} {a} {b} {b}", "", "...", "!!", " "]
+    )
+    texts = st.lists(fragments, max_size=20).map(" ".join)
+    return st.lists(texts, max_size=12)
+
+
+class TestEmbeddingRows:
+    @staticmethod
+    def check(texts: list[str], dim: int, chunk: int) -> None:
+        encoder = HashingSentenceEncoder(dim)
+        with mock.patch.object(embeddings, "_BATCH_CHUNK", chunk):
+            rows = encoder.encode_tokenized(*tokenize_corpus(texts))
+        want = np.zeros((len(texts), dim))
+        for i, text in enumerate(texts):
+            want[i] = encoder.encode(text)
+        dense = rows.dense_range(0, rows.row_count)
+        assert dense.flags.c_contiguous and dense.shape == want.shape
+        assert np.array_equal(dense.view(np.int64), want.view(np.int64))
+        # compact: only nonzero cells, at ascending columns in each row
+        assert rows.cols.dtype == np.min_scalar_type(dim - 1)
+        assert rows.indptr.dtype == np.int64 and rows.indptr[0] == 0
+        assert np.all(rows.data != 0.0)
+        for i in range(rows.row_count):
+            cols = rows.cols[rows.indptr[i] : rows.indptr[i + 1]]
+            assert np.all(np.diff(cols.astype(np.int64)) > 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(DIMS).flatmap(
+            lambda dim: st.tuples(st.just(dim), _compact_corpora(dim))
+        ),
+        _blocks,
+    )
+    def test_dense_rows_equal_encode(self, dim_texts, chunk):
+        dim, texts = dim_texts
+        self.check(texts, dim, chunk)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_cancelled_cells_and_rows(self, dim):
+        a, b = CANCELLING[dim]
+        texts = [f"{a} {b}", f"{a} {a} {b} {b} w1", f"{a} {b} {a}", "", "!!"]
+        encoder = HashingSentenceEncoder(dim)
+        assert not encoder.encode(texts[0]).any()  # the whole row cancels
+        for chunk in (1, 2, 64):
+            self.check(texts, dim, chunk)
+
+    def test_dense_picks_rows(self):
+        encoder = HashingSentenceEncoder()
+        rows = encoder.encode_tokenized(*tokenize_corpus(TRICKY))
+        picked = [8, 0, 2, 2, 5]
+        dense = rows.dense(np.asarray(picked))
+        assert dense.flags.c_contiguous
+        full = rows.dense_range(0, rows.row_count)
+        assert dense.tobytes() == full[picked].tobytes()
+        assert rows.dense([]).shape == (0, encoder.dim)
+        assert rows.dense_range(3, 7).tobytes() == full[3:7].tobytes()
+
+
+class TestRowNorms:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([1, 3, 8, 17, 33, 256, 300]),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_batched_norms_equal_per_row_dot(self, n, dim, seed):
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((n, dim)) * rng.choice(
+            [1e-3, 1.0, 1e5], size=(n, dim)
+        )
+        block[rng.random((n, dim)) < 0.8] = 0.0
+        want = np.array([np.sqrt(row.dot(row)) for row in block])
+        got = _row_norms(block)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(
+            got.view(np.int64),
+            np.array([np.linalg.norm(row) for row in block]).view(np.int64),
+        )
