@@ -3,9 +3,10 @@
 :class:`ServingApp` wraps one loaded :class:`MigrationDataset` and
 answers read-only queries over it.  The synchronous core is
 :meth:`ServingApp.handle` — resolve, normalize, consult the caches,
-compute, render — and the ASGI ``__call__`` is a thin adapter over it,
-so the in-process load generator and the socket server measure exactly
-the same code path.
+compute, render.  The socket server (:mod:`repro.serving.server`) calls
+it directly, as the in-process load generator does, so both measure
+exactly the same code path; the ASGI ``__call__`` is a thin adapter over
+it for external ASGI servers.
 
 Request flow on the warm path::
 
@@ -278,7 +279,7 @@ class ServingApp:
                     await send({"type": "lifespan.shutdown.complete"})
                     return
             return
-        if scope["type"] != "http":  # pragma: no cover - protocol guard
+        if scope["type"] != "http":
             raise ValueError(f"unsupported ASGI scope type {scope['type']!r}")
         status, body = self.handle(
             scope.get("path", "/"),

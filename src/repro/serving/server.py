@@ -1,12 +1,16 @@
-"""A minimal asyncio HTTP/1.1 server for the ASGI serving app.
+"""A minimal asyncio HTTP/1.1 server for the serving app.
 
-Stdlib-only (no new dependencies): an ``asyncio.start_server`` loop that
-parses just enough HTTP/1.1 to drive GET requests — request line, headers
-(to honour ``Connection``), no body handling beyond draining
-``Content-Length`` — and adapts each request to one ASGI ``http`` scope.
-This is the process-boundary deployment path; benchmarks and tests use
-the in-process ASGI interface directly so socket overhead never pollutes
-the latency gates.
+Stdlib-only (no new dependencies): one :class:`asyncio.Protocol` per
+connection parses whole request heads out of its receive buffer — request
+line and headers, CRLF or bare-LF line ends, nothing beyond draining a
+``Content-Length`` body — and answers each request with one synchronous
+:meth:`ServingApp.handle <repro.serving.app.ServingApp.handle>` call and
+one ``transport.write``.  Pipelined requests are answered in order;
+``Connection: close`` and HTTP/1.0 close after the response.  While the
+transport's write buffer is over its high-water mark the protocol stops
+reading and answering, as ``await drain()`` would.  ``ServingApp`` keeps
+its ASGI ``__call__`` for external ASGI servers; this front end does not
+go through it.
 """
 
 from __future__ import annotations
@@ -17,114 +21,159 @@ from urllib.parse import unquote
 _MAX_REQUEST_LINE = 16 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
 
-
-async def _read_headers(reader: asyncio.StreamReader) -> list[tuple[str, str]]:
-    headers: list[tuple[str, str]] = []
-    total = 0
-    while True:
-        line = await reader.readline()
-        total += len(line)
-        if total > _MAX_HEADER_BYTES:
-            raise ValueError("header block too large")
-        if line in (b"\r\n", b"\n", b""):
-            return headers
-        name, _, value = line.decode("latin-1").partition(":")
-        headers.append((name.strip().lower(), value.strip()))
+_URI_TOO_LONG = b"HTTP/1.1 414 URI Too Long\r\n\r\n"
+_BAD_REQUEST = b"HTTP/1.1 400 Bad Request\r\n\r\n"
 
 
-async def _handle_connection(
-    app, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-) -> None:
-    try:
-        while True:
-            request_line = await reader.readline()
-            if not request_line:
-                return
-            if len(request_line) > _MAX_REQUEST_LINE:
-                writer.write(b"HTTP/1.1 414 URI Too Long\r\n\r\n")
-                return
-            try:
-                method, target, version = (
-                    request_line.decode("latin-1").strip().split(" ", 2)
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    500: "Internal Server Error",
+}
+
+
+def _head_end(buffer: bytearray, start: int) -> int:
+    """End of the first empty line (``\\r\\n`` or ``\\n``) that follows a
+    line end at or after ``start``, or -1 if the head is still incomplete."""
+    ends = [
+        found + len(blank)
+        for blank in (b"\n\n", b"\n\r\n")
+        if (found := buffer.find(blank, start)) >= 0
+    ]
+    return min(ends, default=-1)
+
+
+class HttpProtocol(asyncio.Protocol):
+    """One connection: buffered request heads in, ``app.handle`` answers out."""
+
+    def __init__(self, app) -> None:
+        self.app = app
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        #: position of the newline ending the buffered request line, or -1
+        self.line_end = -1
+        #: ``(method, target, version)`` of that request line
+        self.request_line: list[str] = []
+        #: buffered bytes already searched for the end of the request head
+        self.searched = 0
+        #: ``(method, target, closes)`` of a request whose body is draining
+        self.pending: tuple[str, str, bool] | None = None
+        self.body_left = 0
+        self.writing_paused = False
+        self.closed = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def connection_lost(self, exc) -> None:
+        self.closed = True
+        self.buffer.clear()
+
+    def pause_writing(self) -> None:
+        self.writing_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.writing_paused = False
+        self.transport.resume_reading()
+        self._process()
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        self._process()
+
+    def _close(self, response: bytes = b"") -> None:
+        if response:
+            self.transport.write(response)
+        self.closed = True
+        self.buffer.clear()
+        self.transport.close()
+
+    def _process(self) -> None:
+        """Answer every complete request in the buffer, in order."""
+        buffer = self.buffer
+        while not self.closed and not self.writing_paused:
+            if self.pending is not None:
+                dropped = min(self.body_left, len(buffer))
+                del buffer[:dropped]
+                self.body_left -= dropped
+                if self.body_left:
+                    return
+                request, self.pending = self.pending, None
+                self._respond(*request)
+                continue
+            if self.line_end < 0:
+                line_end = buffer.find(b"\n", self.searched)
+                size = line_end + 1 if line_end >= 0 else len(buffer)
+                if size > _MAX_REQUEST_LINE:
+                    self._close(_URI_TOO_LONG)
+                    return
+                if line_end < 0:
+                    self.searched = len(buffer)
+                    return
+                self.request_line = (
+                    buffer[:line_end].decode("latin-1").strip().split(" ", 2)
                 )
-            except ValueError:
-                writer.write(b"HTTP/1.1 400 Bad Request\r\n\r\n")
+                if len(self.request_line) != 3:
+                    self._close(_BAD_REQUEST)
+                    return
+                self.line_end = self.searched = line_end
+            # a blank line already searched past ends within two bytes of it
+            end = _head_end(buffer, max(self.line_end, self.searched - 2))
+            header_bytes = (end if end >= 0 else len(buffer)) - self.line_end - 1
+            if header_bytes > _MAX_HEADER_BYTES:
+                self._close()
                 return
-            headers = await _read_headers(reader)
-            length = next(
-                (int(v) for k, v in headers if k == "content-length"), 0
-            )
-            if length:
-                await reader.readexactly(length)  # drain; GET bodies ignored
-            raw_path, _, query = target.partition("?")
-            scope = {
-                "type": "http",
-                "asgi": {"version": "3.0"},
-                "http_version": version.rsplit("/", 1)[-1],
-                "method": method.upper(),
-                "path": unquote(raw_path),
-                "query_string": query.encode("latin-1"),
-                "headers": [
-                    (k.encode("latin-1"), v.encode("latin-1"))
-                    for k, v in headers
-                ],
-            }
-            response: dict = {}
-
-            async def receive() -> dict:
-                return {"type": "http.request", "body": b"", "more_body": False}
-
-            async def send(message: dict) -> None:
-                if message["type"] == "http.response.start":
-                    response["status"] = message["status"]
-                    response["headers"] = message.get("headers", [])
-                elif message["type"] == "http.response.body":
-                    response.setdefault("body", b"")
-                    response["body"] += message.get("body", b"")
-
-            await app(scope, receive, send)
-            status = response.get("status", 500)
-            body = response.get("body", b"")
-            head = [f"HTTP/1.1 {status} {_reason(status)}".encode("latin-1")]
-            for name, value in response.get("headers", []):
-                head.append(name + b": " + value)
-            head.append(b"connection: keep-alive")
-            writer.write(b"\r\n".join(head) + b"\r\n\r\n" + body)
-            await writer.drain()
-            wants_close = any(
-                k == "connection" and v.lower() == "close" for k, v in headers
-            )
-            if wants_close or version == "HTTP/1.0":
+            if end < 0:
+                self.searched = len(buffer)
                 return
-    except (ConnectionError, asyncio.IncompleteReadError, ValueError):
-        pass
-    except asyncio.CancelledError:
-        # loop teardown while parked on readline (idle keep-alive peer):
-        # finish quietly so stream callbacks don't log the cancellation
-        pass
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except ConnectionError:  # pragma: no cover - peer already gone
-            pass
+            headers = buffer[self.line_end + 1 : end].decode("latin-1")
+            del buffer[:end]
+            self.line_end = -1
+            self.searched = 0
+            self._start(headers)
 
+    def _start(self, headers: str) -> None:
+        """Read one request's headers; answer it once its body is gone."""
+        method, target, version = self.request_line
+        closes = version == "HTTP/1.0"
+        length = None
+        for line in headers.split("\n"):
+            name, _, value = line.partition(":")
+            name = name.strip().lower()
+            if name == "connection" and value.strip().lower() == "close":
+                closes = True
+            elif name == "content-length" and length is None:
+                try:
+                    length = int(value)
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    self._close()
+                    return
+        self.pending = (method, target, closes)
+        self.body_left = length or 0
 
-def _reason(status: int) -> str:
-    return {
-        200: "OK",
-        400: "Bad Request",
-        404: "Not Found",
-        405: "Method Not Allowed",
-        500: "Internal Server Error",
-    }.get(status, "Unknown")
+    def _respond(self, method: str, target: str, closes: bool) -> None:
+        raw_path, _, query = target.partition("?")
+        status, body = self.app.handle(unquote(raw_path), query, method.upper())
+        self.transport.write(
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+            "content-type: application/json\r\n"
+            f"content-length: {len(body)}\r\n"
+            "connection: keep-alive\r\n\r\n".encode("latin-1")
+            + body
+        )
+        if closes:
+            self._close()
 
 
 async def serve(app, host: str = "127.0.0.1", port: int = 8752):
     """Start serving ``app``; returns the listening ``asyncio.Server``."""
-    return await asyncio.start_server(
-        lambda r, w: _handle_connection(app, r, w), host, port
-    )
+    loop = asyncio.get_running_loop()
+    return await loop.create_server(lambda: HttpProtocol(app), host, port)
 
 
 def run(app, host: str = "127.0.0.1", port: int = 8752) -> None:

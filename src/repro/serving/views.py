@@ -1,12 +1,15 @@
 """Endpoint implementations: the columnar read models behind every route.
 
 :class:`ColumnarViews` is the serving path.  All per-request reads
-come off flat columns prepared once at warmup — the frames timeline
-tables (per-account CSR offsets via ``frames.timeline_offsets``), a
-search-column block over the §3.1 collected corpus backed by a
-:class:`~repro.twitter.index.TweetIndex`, hashtag postings over the
-status table, and a ranked instance directory.  No ``Tweet`` or
-``Status`` object is touched while answering a request.
+come off numpy columns prepared once per dataset snapshot — the frames
+timeline tables (per-account CSR offsets via ``frames.timeline_offsets``),
+the §3.1 collected corpus behind a
+:class:`~repro.twitter.index.TweetIndex`, per-tag and per-token row
+postings over the status table, and a ranked instance directory.  A
+request's window filter, count and page are one numpy mask and slice over
+its candidate rows, and only the rows of the returned page are gathered
+into Python values, so a cache miss costs what its page costs.  No
+``Tweet`` or ``Status`` object is built while answering a request.
 
 Its contract (enforced by ``tests/serving/test_equivalence.py``) is
 byte-identical JSON payloads, for every endpoint and parameter set, to
@@ -27,18 +30,22 @@ from __future__ import annotations
 
 import datetime as _dt
 import time
-from typing import Callable, Iterator
+from typing import Callable
+
+import numpy as np
 
 from repro import obs
 from repro.frames.core import frames_of
-from repro.frames.tables import TimelineTable, iso_day_strings
+from repro.frames.tables import TimelineTable, TokenTable, iso_day_strings
 from repro.serving.routes import RequestError
-from repro.twitter.index import TweetIndex
+from repro.twitter.index import TweetIndex, matching_tokens, phrase_options
 from repro.twitter.search import SearchQuery
 
 #: Window sentinel ordinals (no date in the corpora falls outside these).
 _ORD_MIN = 0
 _ORD_MAX = 4_000_000
+
+_NO_ROWS = np.empty(0, dtype=np.int64)
 
 
 def build_search_query(normalized: dict) -> SearchQuery:
@@ -65,16 +72,15 @@ def _window_ordinals(normalized: dict) -> tuple[int, int]:
     return lo, hi
 
 
-def _paginate(positions: Iterator[int], limit: int, offset: int) -> tuple[int, list[int]]:
-    """Count every position, keeping only the requested page."""
-    page: list[int] = []
-    stop = offset + limit
-    total = 0
-    for pos in positions:
-        if offset <= total < stop:
-            page.append(pos)
-        total += 1
-    return total, page
+def _in_window(rows: np.ndarray, days: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The ``rows`` whose day ordinal lies in ``[lo, hi]``, order kept."""
+    picked = days[rows]
+    return rows[(picked >= lo) & (picked <= hi)]
+
+
+def _page(rows: np.ndarray, normalized: dict) -> np.ndarray:
+    offset = normalized["offset"]
+    return rows[offset : offset + normalized["limit"]]
 
 
 # -- payload shapes (shared with the test oracle) ------------------------------
@@ -121,156 +127,219 @@ def _rank_instances(populations: dict[str, int]) -> list[tuple[str, int]]:
 
 
 class TimelineColumns:
-    """Flat per-post Python columns over one platform's timeline table."""
+    """One platform's timeline table, read in place (no column is copied)."""
 
     def __init__(
         self, table: TimelineTable, day_iso: list[str], label_key: str, flag_key: str
     ) -> None:
-        self.offsets = table.slices
-        self.days = table.day_ordinals.tolist()
+        self.days = table.day_ordinals
         self.day_iso = day_iso
         self.texts = table.texts
         self.labels = table.labels
-        self.label_ids = table.label_ids.tolist()
-        self.flags = table.flags.tolist()
-        self.row_uids = table.row_uids.tolist()
+        self.label_ids = table.label_ids
+        self.flags = table.flags
+        self.row_uids = table.row_uids
         self.label_key = label_key
         self.flag_key = flag_key
 
-    def row(self, pos: int) -> dict:
-        return {
-            "day": self.day_iso[pos],
-            "text": self.texts[pos],
-            self.label_key: self.labels[self.label_ids[pos]],
-            self.flag_key: bool(self.flags[pos]),
-        }
+    def rows(self, page: np.ndarray) -> list[dict]:
+        """Timeline payload rows of the table rows in ``page``."""
+        day_iso, texts, labels = self.day_iso, self.texts, self.labels
+        label_key, flag_key = self.label_key, self.flag_key
+        return [
+            {
+                "day": day_iso[pos],
+                "text": texts[pos],
+                label_key: labels[label],
+                flag_key: flag,
+            }
+            for pos, label, flag in zip(
+                page.tolist(),
+                self.label_ids[page].tolist(),
+                self.flags[page].tolist(),
+            )
+        ]
+
+
+def _corpus_ids(tweets) -> np.ndarray:
+    return np.fromiter((t.tweet_id for t in tweets), np.int64, len(tweets))
+
+
+def _ascending(ids: np.ndarray) -> np.ndarray:
+    if not np.all(ids[1:] > ids[:-1]):
+        # collection sorts the corpus by id; positions come from searchsorted
+        raise ValueError("the collected corpus must ascend strictly by tweet id")
+    return ids
 
 
 class TweetSearchColumns:
-    """The §3.1 collected corpus as columns plus its inverted index."""
+    """The §3.1 collected corpus: an id and a day column plus its index.
+
+    Corpus ids ascend (collection sorts the corpus by id), so the index's
+    candidate ids map to corpus positions with one ``searchsorted``; page
+    rows are read off the corpus tweets themselves, their days through the
+    ISO strings of the corpus's distinct days.
+    """
 
     def __init__(self, dataset, frames) -> None:
-        tweets = dataset.collected_tweets
-        self.ids = [t.tweet_id for t in tweets]
-        self.row_of = {tid: pos for pos, tid in enumerate(self.ids)}
-        self.authors = [t.author_id for t in tweets]
-        self.texts = [t.text for t in tweets]
-        self.texts_lower = [t.text_lower for t in tweets]
-        self.sources = [t.source for t in tweets]
-        self.retweets = [t.is_retweet for t in tweets]
-        self.days = frames.collected_day_ordinals.tolist()
-        self.day_iso = iso_day_strings(frames.collected_day_ordinals)
+        self.tweets = dataset.collected_tweets
+        self.ids = _ascending(_corpus_ids(self.tweets))
+        self._set_days(frames.collected_day_ordinals)
         self.index = TweetIndex()
-        self.index.add_many(tweets, None)
+        self.index.add_many(self.tweets, None)
+
+    def _set_days(self, days: np.ndarray) -> None:
+        self.days = days
+        distinct, self.day_codes = np.unique(days, return_inverse=True)
+        self.day_labels = iso_day_strings(distinct)
 
     def extend(self, dataset, frames) -> None:
         """Append corpus rows past the already-indexed prefix.
 
         Valid only when the existing rows are a verified prefix of the
         advanced corpus (``delta.corpus_prefix == len(self.ids)``): the
-        columns grow in place and the inverted index absorbs just the
-        fresh tweets.
+        id column grows, the day column is the rebased frames', and the
+        inverted index absorbs just the fresh tweets.
         """
         tweets = dataset.collected_tweets
-        start = len(self.ids)
-        fresh = tweets[start:]
+        fresh = tweets[len(self.ids) :]
+        self.tweets = tweets
+        self._set_days(frames.collected_day_ordinals)
         if not fresh:
             return
-        for pos, t in enumerate(fresh, start):
-            self.ids.append(t.tweet_id)
-            self.row_of[t.tweet_id] = pos
-            self.authors.append(t.author_id)
-            self.texts.append(t.text)
-            self.texts_lower.append(t.text_lower)
-            self.sources.append(t.source)
-            self.retweets.append(t.is_retweet)
-        ordinals = frames.collected_day_ordinals
-        self.days.extend(ordinals[start:].tolist())
-        self.day_iso.extend(iso_day_strings(ordinals[start:]))
+        self.ids = _ascending(np.concatenate([self.ids, _corpus_ids(fresh)]))
         self.index.add_many(fresh, None)
 
-    def matching_positions(
-        self, query: SearchQuery, kind: str, term: str, lo: int, hi: int
-    ) -> Iterator[int]:
-        """Corpus positions matching the query, ascending by tweet id.
+    def positions(self, query: SearchQuery) -> np.ndarray:
+        """Candidate corpus positions for ``query``, ascending by tweet id.
 
-        Hashtag and domain postings are exact (the planner guarantees no
-        false positives for a single term); phrase candidates are a
-        superset and get the same substring check ``SearchQuery.matches``
-        applies.  An unindexable phrase falls back to a columnar scan.
+        Hashtag and domain candidates are exact (the planner guarantees no
+        false positives for a single term); phrase candidates are a superset
+        that the caller verifies.  An unindexable phrase takes every row.
         """
-        days = self.days
         candidates = self.index.candidates(query)
         if candidates is None:
-            texts = self.texts_lower
-            for pos in range(len(texts)):
-                if lo <= days[pos] <= hi and term in texts[pos]:
-                    yield pos
-            return
-        row_of = self.row_of
-        if kind == "q":
-            texts = self.texts_lower
-            for tid in candidates:
-                pos = row_of[tid]
-                if lo <= days[pos] <= hi and term in texts[pos]:
-                    yield pos
-        else:
-            for tid in candidates:
-                pos = row_of[tid]
-                if lo <= days[pos] <= hi:
-                    yield pos
+            return np.arange(len(self.ids))
+        return np.searchsorted(self.ids, np.array(candidates, dtype=np.int64))
 
-    def row(self, pos: int) -> dict:
-        return {
-            "id": self.ids[pos],
-            "author_id": self.authors[pos],
-            "day": self.day_iso[pos],
-            "text": self.texts[pos],
-            "source": self.sources[pos],
-            "is_retweet": self.retweets[pos],
-        }
+    def holding(self, rows: np.ndarray, term: str) -> np.ndarray:
+        """Mask over ``rows``: the tweets whose lowered text holds ``term``."""
+        tweets = self.tweets
+        return np.array(
+            [term in tweets[pos].text_lower for pos in rows.tolist()], dtype=bool
+        )
+
+    def rows(self, page: np.ndarray) -> list[dict]:
+        tweets, labels = self.tweets, self.day_labels
+        return [
+            {
+                "id": t.tweet_id,
+                "author_id": t.author_id,
+                "day": labels[code],
+                "text": t.text,
+                "source": t.source,
+                "is_retweet": t.is_retweet,
+            }
+            for t, code in zip(
+                map(tweets.__getitem__, page.tolist()), self.day_codes[page].tolist()
+            )
+        ]
+
+
+def _tag_postings(table: TimelineTable) -> dict[str, np.ndarray]:
+    """Normalized tag -> ascending status rows carrying it, each row once."""
+    stride = max(table.row_count, 1)
+    keys = np.unique(table.tag_ids.astype(np.int64) * stride + table.tag_rows)
+    tag_of = keys // stride
+    rows = keys - tag_of * stride
+    bounds = np.searchsorted(tag_of, np.arange(len(table.tags) + 1)).tolist()
+    return {
+        tag: rows[bounds[i] : bounds[i + 1]]
+        for i, tag in enumerate(table.tags)
+        if bounds[i] < bounds[i + 1]
+    }
 
 
 class StatusSearchColumns:
-    """Lowered texts and hashtag postings over the status table."""
+    """Lowered texts plus hashtag and token postings over the status table.
 
-    def __init__(self, columns: TimelineColumns, table: TimelineTable) -> None:
+    Token postings list, per ``status_tokens`` vocabulary entry, the rows
+    whose tokens hold it (``token_rows[token_bounds[t]:token_bounds[t + 1]]``,
+    ascending, a row once per occurrence).  A phrase's candidates are the
+    rows of the tokens :func:`~repro.twitter.index.phrase_options` selects,
+    plus every row with a URL, whose text ``tokenize`` strips; each
+    candidate is then verified against its lowered text.
+    """
+
+    def __init__(
+        self, columns: TimelineColumns, table: TimelineTable, tokens: TokenTable
+    ) -> None:
         self.columns = columns
         self.texts_lower = [t.lower() for t in table.texts]
-        postings: dict[str, list[int]] = {}
-        tags = table.tags
-        for row, tag_id in zip(table.tag_rows.tolist(), table.tag_ids.tolist()):
-            postings.setdefault(tags[tag_id], []).append(row)
-        self.tag_postings = postings
+        self.row_count = len(self.texts_lower)
+        self.url_rows = np.array(
+            [
+                row
+                for row, text in enumerate(self.texts_lower)
+                if "://" in text and ("http://" in text or "https://" in text)
+            ],
+            dtype=np.int64,
+        )
+        self.tag_rows = _tag_postings(table)
+        vocab = tokens.vocab
+        self.token_ids = {token: i for i, token in enumerate(vocab)}
+        # a stable radix argsort needs the narrowest type holding every id
+        ids = tokens.flat.astype(np.min_scalar_type(max(len(vocab) - 1, 0)))
+        row_of = np.repeat(
+            np.arange(self.row_count, dtype=np.min_scalar_type(self.row_count)),
+            np.diff(tokens.offsets),
+        )
+        self.token_rows = row_of[np.argsort(ids, kind="stable")]
+        counts = np.bincount(ids, minlength=len(vocab))
+        self.token_bounds = [0, *np.cumsum(counts).tolist()]
 
-    def matching_positions(
-        self, kind: str, term: str, lo: int, hi: int
-    ) -> Iterator[int]:
-        """Status-table rows matching the term, in row order."""
-        days = self.columns.days
-        if kind == "hashtag":
-            previous = -1
-            for pos in self.tag_postings.get(term, ()):
-                if pos == previous:  # the same tag twice in one status
-                    continue
-                previous = pos
-                if lo <= days[pos] <= hi:
-                    yield pos
-            return
+    def phrase_candidates(self, term: str) -> np.ndarray:
+        """Ascending rows that may hold ``term``: a superset of the matches."""
+        options = phrase_options(term)
+        if options is None:  # no token to look up: every row is a candidate
+            return np.arange(self.row_count)
+        bounds, token_ids = self.token_bounds, self.token_ids
+        picked = min(
+            (
+                [token_ids[token] for token in matching_tokens(token_ids, mode, word)]
+                for mode, word in options
+            ),
+            key=lambda ids: sum(bounds[t + 1] - bounds[t] for t in ids),
+        )
+        mask = np.zeros(self.row_count, dtype=bool)
+        for t in picked:
+            mask[self.token_rows[bounds[t] : bounds[t + 1]]] = True
+        mask[self.url_rows] = True
+        return np.flatnonzero(mask)
+
+    def holding(self, rows: np.ndarray, term: str) -> np.ndarray:
+        """Mask over ``rows``: the statuses whose lowered text holds ``term``."""
         texts = self.texts_lower
-        for pos in range(len(texts)):
-            if lo <= days[pos] <= hi and term in texts[pos]:
-                yield pos
+        return np.array([term in texts[pos] for pos in rows.tolist()], dtype=bool)
 
-    def row(self, pos: int) -> dict:
+    def rows(self, page: np.ndarray) -> list[dict]:
         columns = self.columns
-        return {
-            "uid": columns.row_uids[pos],
-            "day": columns.day_iso[pos],
-            "text": columns.texts[pos],
-            "application": columns.labels[columns.label_ids[pos]],
-            "is_boost": bool(columns.flags[pos]),
-        }
+        day_iso, texts, labels = columns.day_iso, columns.texts, columns.labels
+        return [
+            {
+                "uid": uid,
+                "day": day_iso[pos],
+                "text": texts[pos],
+                "application": labels[label],
+                "is_boost": flag,
+            }
+            for pos, uid, label, flag in zip(
+                page.tolist(),
+                columns.row_uids[page].tolist(),
+                columns.label_ids[page].tolist(),
+                columns.flags[page].tolist(),
+            )
+        ]
 
 
 class ColumnarViews:
@@ -315,7 +384,9 @@ class ColumnarViews:
         return self._model(
             "status_search",
             lambda: StatusSearchColumns(
-                self._timeline("mastodon"), self.frames.status_table
+                self._timeline("mastodon"),
+                self.frames.status_table,
+                self.frames.status_tokens,
             ),
         )
 
@@ -405,18 +476,25 @@ class ColumnarViews:
         kind, term = normalized["kind"], normalized["term"]
         if normalized["platform"] == "twitter":
             corpus = self._tweet_search()
-            query = build_search_query(normalized)
-            positions = corpus.matching_positions(query, kind, term, lo, hi)
-            total, page = _paginate(
-                positions, normalized["limit"], normalized["offset"]
+            hits = _in_window(
+                corpus.positions(build_search_query(normalized)), corpus.days, lo, hi
             )
+            if kind == "q":
+                hits = hits[corpus.holding(hits, term)]
             return _search_payload(
-                normalized, total, [corpus.row(pos) for pos in page]
+                normalized, int(hits.size), corpus.rows(_page(hits, normalized))
             )
         statuses = self._status_search()
-        positions = statuses.matching_positions(kind, term, lo, hi)
-        total, page = _paginate(positions, normalized["limit"], normalized["offset"])
-        return _search_payload(normalized, total, [statuses.row(pos) for pos in page])
+        if kind == "hashtag":
+            candidates = statuses.tag_rows.get(term, _NO_ROWS)
+        else:
+            candidates = statuses.phrase_candidates(term)
+        hits = _in_window(candidates, statuses.columns.days, lo, hi)
+        if kind == "q":
+            hits = hits[statuses.holding(hits, term)]
+        return _search_payload(
+            normalized, int(hits.size), statuses.rows(_page(hits, normalized))
+        )
 
     def timeline(self, normalized: dict) -> dict:
         platform, uid = normalized["platform"], normalized["uid"]
@@ -425,12 +503,11 @@ class ColumnarViews:
         if span is None:
             raise RequestError(404, f"uid {uid} has no {platform} timeline")
         lo, hi = _window_ordinals(normalized)
-        days = columns.days
         start, stop = span
-        positions = (pos for pos in range(start, stop) if lo <= days[pos] <= hi)
-        total, page = _paginate(positions, normalized["limit"], normalized["offset"])
+        days = columns.days[start:stop]
+        hits = np.flatnonzero((days >= lo) & (days <= hi)) + start
         return _timeline_payload(
-            normalized, total, [columns.row(pos) for pos in page]
+            normalized, int(hits.size), columns.rows(_page(hits, normalized))
         )
 
     def instances(self, normalized: dict) -> dict:

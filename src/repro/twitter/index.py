@@ -54,6 +54,47 @@ _findall = _TOKEN_RE.findall
 _EMPTY: list[int] = []
 
 
+def phrase_options(phrase: str) -> list[tuple[str, str]] | None:
+    """The superset rules for one lowered phrase, as ``(mode, word)`` options.
+
+    Each option alone selects a superset of the texts holding ``phrase``:
+    ``"token"`` — ``word`` is an internal phrase token, so it is a token of
+    the text; ``"suffix"`` / ``"prefix"`` — the phrase-leading (trailing)
+    token is a suffix (prefix) of a text token; ``"inside"`` — a
+    single-token phrase sits inside a text token.  Callers take the option
+    with the fewest postings.  ``None`` means the phrase has no token and
+    is unindexable.
+    """
+    tokens = list(_TOKEN_RE.finditer(phrase))
+    if not tokens:
+        return None
+    end = len(phrase)
+    internal = [
+        ("token", m.group()) for m in tokens if m.start() > 0 and m.end() < end
+    ]
+    if internal:
+        return internal
+    options: list[tuple[str, str]] = []
+    first, last = tokens[0], tokens[-1]
+    if first.start() == 0:
+        mode = "inside" if first.end() == end else "suffix"
+        options.append((mode, first.group()))
+    if last.end() == end and last.start() > 0:
+        options.append(("prefix", last.group()))
+    return options
+
+
+def matching_tokens(vocabulary: dict[str, object], mode: str, word: str) -> list[str]:
+    """The tokens of ``vocabulary`` one :func:`phrase_options` option selects."""
+    if mode == "token":
+        return [word] if word in vocabulary else []
+    if mode == "suffix":
+        return [v for v in vocabulary if v.endswith(word)]
+    if mode == "prefix":
+        return [v for v in vocabulary if v.startswith(word)]
+    return [v for v in vocabulary if word in v]
+
+
 class TweetIndex:
     """Incrementally-maintained inverted indexes plus the query planner."""
 
@@ -232,48 +273,30 @@ class TweetIndex:
             if phrase_lists is None:
                 return None  # unindexable phrase: the whole query scans
             lists.extend(phrase_lists)
+        if len(lists) == 1:
+            # one postings list is already sorted and holds each id once (a
+            # tweet's keys are a set, and the store rejects duplicate ids);
+            # copied because later writes append to it
+            return list(lists[0])
         merged: set[int] = set()
         merged.update(*lists)
         return sorted(merged)
 
     def _phrase_postings(self, phrase: str) -> list[list[int]] | None:
         """Candidate postings lists for one (lowered) phrase term."""
-        tokens = list(_TOKEN_RE.finditer(phrase))
-        if not tokens:
+        options = phrase_options(phrase)
+        if options is None:
             return None
-        end = len(phrase)
-        internal = [m for m in tokens if m.start() > 0 and m.end() < end]
-        if internal:
-            # any internal token must appear verbatim; pick the rarest
-            best = min(
-                (
-                    self._postings(self._tokens, self._clean_tokens, m.group())
-                    for m in internal
-                ),
-                key=len,
-            )
-            return [best]
-        options: list[list[list[int]]] = []
-        first, last = tokens[0], tokens[-1]
-        if first.start() == 0:
-            word = first.group()
-            if first.end() == end:
-                # single-token phrase: may sit inside a longer token
-                options.append(self._vocabulary_scan(lambda v: word in v))
-            else:
-                options.append(self._vocabulary_scan(lambda v: v.endswith(word)))
-        if last.end() == end and last.start() > 0:
-            word = last.group()
-            options.append(self._vocabulary_scan(lambda v: v.startswith(word)))
-        return min(options, key=lambda ls: sum(len(ids) for ids in ls))
-
-    def _vocabulary_scan(self, predicate) -> list[list[int]]:
-        """Postings of every distinct archive token matching ``predicate``."""
-        return [
-            self._postings(self._tokens, self._clean_tokens, token)
-            for token in self._tokens
-            if predicate(token)
-        ]
+        return min(
+            (
+                [
+                    self._postings(self._tokens, self._clean_tokens, token)
+                    for token in matching_tokens(self._tokens, mode, word)
+                ]
+                for mode, word in options
+            ),
+            key=lambda lists: sum(len(ids) for ids in lists),
+        )
 
     # -- introspection -----------------------------------------------------
 

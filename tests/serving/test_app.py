@@ -156,29 +156,87 @@ class TestCachesAndMetrics:
 
 
 class TestAsgi:
-    def test_http_scope_roundtrip(self, serving_app):
+    """``ServingApp.__call__``: the ASGI surface kept for external servers."""
+
+    @staticmethod
+    def _drive(app, scope, incoming=()):
         import asyncio
 
         sent = []
+        queue = list(incoming)
 
-        async def drive():
-            scope = {
-                "type": "http",
-                "method": "GET",
-                "path": "/healthz",
-                "query_string": b"",
-            }
+        async def receive():
+            if queue:
+                return queue.pop(0)
+            return {"type": "http.request", "body": b"", "more_body": False}
 
-            async def receive():
-                return {"type": "http.request", "body": b"", "more_body": False}
+        async def send(message):
+            sent.append(message)
 
-            async def send(message):
-                sent.append(message)
+        asyncio.run(app(scope, receive, send))
+        return sent
 
-            await serving_app(scope, receive, send)
-
-        asyncio.run(drive())
-        start = next(m for m in sent if m["type"] == "http.response.start")
-        body = next(m for m in sent if m["type"] == "http.response.body")
+    def test_http_scope_roundtrip(self, serving_app):
+        scope = {
+            "type": "http",
+            "method": "GET",
+            "path": "/healthz",
+            "query_string": b"",
+        }
+        start, body = self._drive(serving_app, scope)
+        assert start["type"] == "http.response.start"
         assert start["status"] == 200
+        assert body["type"] == "http.response.body"
         assert json.loads(body["body"])["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "path, query",
+        [
+            ("/healthz", b""),
+            ("/v1/instances", b"limit=3&offset=1"),
+            ("/v1/search", b"q=bye%20bye%20twitter&limit=5"),
+            ("/no-such-path", b""),
+            ("/v1/search", b"limit=5"),
+        ],
+    )
+    def test_http_scope_gives_handle_status_and_body(self, serving_app, path, query):
+        scope = {
+            "type": "http",
+            "method": "GET",
+            "path": path,
+            "query_string": query,
+        }
+        sent = self._drive(serving_app, scope)
+        status, body = serving_app.handle(path, query.decode("latin-1"))
+        assert sent == [
+            {
+                "type": "http.response.start",
+                "status": status,
+                "headers": [
+                    (b"content-type", b"application/json"),
+                    (b"content-length", str(len(body)).encode("ascii")),
+                ],
+            },
+            {"type": "http.response.body", "body": body},
+        ]
+
+    def test_http_scope_method_reaches_handle(self, serving_app):
+        scope = {"type": "http", "method": "POST", "path": "/healthz"}
+        sent = self._drive(serving_app, scope)
+        assert sent[0]["status"] == 405
+
+    def test_lifespan_startup_and_shutdown_complete(self, serving_app):
+        sent = self._drive(
+            serving_app,
+            {"type": "lifespan"},
+            [{"type": "lifespan.startup"}, {"type": "lifespan.shutdown"}],
+        )
+        assert sent == [
+            {"type": "lifespan.startup.complete"},
+            {"type": "lifespan.shutdown.complete"},
+        ]
+
+    @pytest.mark.parametrize("scope_type", ["websocket", "https", ""])
+    def test_other_scope_types_raise(self, serving_app, scope_type):
+        with pytest.raises(ValueError, match="unsupported ASGI scope type"):
+            self._drive(serving_app, {"type": scope_type})

@@ -225,3 +225,30 @@ def test_incremental_adds_keep_equivalence(store):
     assert after == [t.tweet_id for t in local.tweets() if query.matches(t)]
     assert after[0] == 999_999  # sorts first: smallest id
     assert len(after) == len(before) + 1
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        SearchQuery(hashtags=("TwitterMigration",)),
+        SearchQuery(url_domains=("example.com",)),
+        # internal token "site": one verbatim postings list
+        SearchQuery(phrases=("bird site chaos",)),
+    ],
+    ids=["hashtag", "domain", "internal-token-phrase"],
+)
+def test_single_list_plan_equals_merged_plan(query):
+    """A one-list plan is that list's copy, equal to the set-merge it skips."""
+    index = _build_corpus().index
+    (term,) = query._tag_set or query._domain_set or query._lowered_phrases
+    if query._tag_set:
+        (single,) = [index._postings(index._tags, index._clean_tags, term)]
+    elif query._domain_set:
+        (single,) = [index._postings(index._domains, index._clean_domains, term)]
+    else:
+        (single,) = index._phrase_postings(term)
+    merged = sorted(set(single))
+    plan = index.candidates(query)
+    assert len(single) > 0
+    assert plan == merged
+    assert plan is not single  # a copy: later writes must not reach a cached plan
